@@ -67,6 +67,10 @@ class GlobalConfig:
             value = getattr(args, key, None)
             if value is not None:
                 setattr(config, key, value)
+        for key, least in (("prec", 1), ("depth", 0)):
+            value = getattr(config, key)
+            if type(value) is not int or value < least:
+                raise ParseError(f"{key} must be an integer >= {least}, got {value!r}")
         return config
 
     def header(self) -> dict:
@@ -81,7 +85,11 @@ class GlobalConfig:
 
 def _read_poly(text_or_file: str):
     candidate = Path(text_or_file)
-    if candidate.is_file():
+    try:
+        is_file = candidate.is_file()
+    except OSError:  # e.g. an inline polynomial longer than a file name may be
+        is_file = False
+    if is_file:
         raw = candidate.read_text().strip()
         if raw.startswith("{"):
             return poly_from_obj(json.loads(raw))

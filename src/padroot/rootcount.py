@@ -258,15 +258,12 @@ def _comb_mod_p(n: int, k: int, p: int) -> int:
     return result
 
 
-def _multiplicative_order(r: int, p: int) -> int:
-    order = 1
-    x = r % p
-    while x != 1:
-        x = x * r % p
-        order += 1
-        if order >= p:
-            raise InternalError("order computation ran away")
-    return order
+def _primitive_root(p: int) -> int:
+    """Least generator of F_p^*; p-1 is factored by trial division, O(sqrt(p))."""
+    gamma = 2
+    while any(pow(gamma, (p - 1) // q, p) == 1 for q in _factorize(p - 1, p)):
+        gamma += 1
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -636,15 +633,8 @@ def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> Root
     return report
 
 
-def _residue_order(g: SparsePoly, p: int, r: int) -> int:
-    """Multiplicity of the unit residue r as a root of g mod p.
-
-    The reduction is first stripped of its monomial factor and descended
-    through h(x^(p^s)) = h(x)^(p^s) (Frobenius), so huge p-power exponent
-    gcds never force a long derivative scan; what remains is checked with
-    divided (Hasse) derivatives, Lucas for the binomials, Fermat for the
-    powers.
-    """
+def _reduce_mod_p(g: SparsePoly, p: int) -> dict[int, int]:
+    """The reduction of g mod p as {exponent: coefficient}, monomial factor stripped."""
     support: dict[int, int] = {}
     for e, c in g.terms:
         if c.denominator % p == 0:
@@ -655,7 +645,45 @@ def _residue_order(g: SparsePoly, p: int, r: int) -> int:
     if not support:
         raise InternalError("residue polynomial vanished; normalize first")
     low = min(support)
-    support = {e - low: c for e, c in support.items()}
+    return {e - low: c for e, c in support.items()}
+
+
+def _unit_zeros(support: dict[int, int], p: int) -> list[tuple[int, int]]:
+    """The zeros r = gamma^i in F_p^* of a reduced support, as (r, i) ascending in r.
+
+    gamma is a primitive root.  On units x^(p-1) = 1, so the exponents are
+    folded mod p-1 first.  Dividing by the first folded term c0*x^e0 leaves
+    -c0 = sum of c*x^(e-e0) over the others, and the walk over
+    i = 0..p-2 keeps each of their values c*gamma^(i*(e-e0)) current with
+    one multiplication per step.  When the folded terms all cancel, every
+    unit residue is a zero.
+    """
+    folded: dict[int, int] = {}
+    for e, c in support.items():
+        k = e % (p - 1)
+        folded[k] = (folded.get(k, 0) + c) % p
+    (e0, c0), *rest = [(e, c) for e, c in folded.items() if c] or [(0, 0)]
+    gamma = _primitive_root(p)
+    target = -c0 % p
+    values = [c for _, c in rest]
+    steps = [pow(gamma, (e - e0) % (p - 1), p) for e, _ in rest]
+    zero_logs = []
+    for i in range(p - 1):
+        if sum(values) % p == target:
+            zero_logs.append(i)
+        values = [v * s % p for v, s in zip(values, steps)]
+    return sorted((pow(gamma, i, p), i) for i in zero_logs)
+
+
+def _residue_order(support: dict[int, int], p: int, r: int) -> int:
+    """Multiplicity of the unit residue r as a root of the reduced support.
+
+    The support (see `_reduce_mod_p`) is descended through
+    h(x^(p^s)) = h(x)^(p^s) (Frobenius), so huge p-power exponent gcds
+    never force a long derivative scan; what remains is checked with
+    divided (Hasse) derivatives, Lucas for the binomials, Fermat for the
+    powers.
+    """
     if len(support) == 1:
         return 0  # a monomial has no unit roots
     gcd_exp = math.gcd(*support.keys())
@@ -689,18 +717,17 @@ def _unit_roots_general(f0: SparsePoly, p: int, m: int,
     n = opts.prec
     entries: list[RootEntry] = []
     clusters: list[UnresolvedCluster] = []
+    support = _reduce_mod_p(g, p)
 
-    for r in range(1, p):
-        ord0 = _residue_order(g, p, r)
-        if ord0 == 0:
-            continue
+    for r, i in _unit_zeros(support, p):
+        ord0 = _residue_order(support, p, r)
         if ord0 == 1:
             entries.append(_lift_unit_root(g, p, r, m, nu, n, rationals))
             continue
 
         # exactly representable roots of this residue class
         exact_points = []
-        d = _multiplicative_order(r, p)
+        d = (p - 1) // math.gcd(i, p - 1)  # the order of r = gamma^i
         tor_mult = torsion_multiplicity(g, p, d)
         if tor_mult > 0:
             xi = teichmuller(p, r, n)
@@ -938,11 +965,14 @@ def _integer_pth_root(n: int, p: int) -> int | None:
         return 0
     sign = 1 if n > 0 else -1  # p odd: sign passes through
     n = abs(n)
-    root = round(n ** (1.0 / p))
-    for cand in (root - 1, root, root + 1):
-        if cand >= 0 and cand**p == n:
-            return sign * cand
-    return None
+    # integer Newton from 2^ceil(bits/p) >= n^(1/p): decreases to floor(n^(1/p))
+    x = 1 << -(-n.bit_length() // p)
+    while True:
+        y = ((p - 1) * x + n // x ** (p - 1)) // p
+        if y >= x:
+            break
+        x = y
+    return sign * x if x**p == n else None
 
 
 def _padic_pth_root(u: int, p: int, known: int) -> int | None:

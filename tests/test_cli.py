@@ -121,3 +121,29 @@ def test_poly_from_file(capsys, tmp_path):
                                 "--poly", str(json_file)])
     assert code == EXIT_OK
     assert "distinct=4" in out
+
+
+def test_long_inline_poly_is_not_a_file_name(capsys):
+    # longer than a file name may be, so probing it as a path raises OSError
+    text = " + ".join(["1"] + [f"x^{k}" for k in range(1, 59)])
+    assert len(text) > 255
+    code, out, _ = run(capsys, ["count-roots", "--p", "5", "--poly", text])
+    assert code == EXIT_OK
+    assert "distinct=0" in out
+
+
+@pytest.mark.parametrize("flags", [["--prec", "0"], ["--depth", "-1"]])
+def test_config_flags_validated(capsys, flags):
+    code, _, err = run(capsys, flags + ["count-roots", "--p", "5", "--poly", "x^2-1"])
+    assert code == EXIT_USAGE
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("data", [{"prec": 0}, {"depth": -1}, {"prec": "40"}])
+def test_config_file_values_validated(capsys, tmp_path, monkeypatch, data):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    monkeypatch.setenv("PADROOT_CONFIG", str(config))
+    code, _, err = run(capsys, ["count-roots", "--p", "5", "--poly", "x^2-1"])
+    assert code == EXIT_USAGE
+    assert "input error" in err

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,13 +11,16 @@ from padroot.rootcount import (
     HENSEL_SIMPLE,
     NOT_APPLICABLE,
     CountOptions,
+    _is_prime,
+    _reduce_mod_p,
+    _unit_zeros,
     count_roots,
     rational_roots_with_multiplicity,
     segment_root_count,
     torsion_multiplicity,
     verify_upper_bounds,
 )
-from padroot.sparsepoly import newton_polygon, parse_poly, scale_substitute
+from padroot.sparsepoly import SparsePoly, newton_polygon, parse_poly, scale_substitute
 
 from oracle import oracle_root_classes, report_classes
 
@@ -196,6 +200,92 @@ def test_count_rejects_bad_prime():
 def test_monomial_has_no_roots():
     report = count_roots(parse_poly("7*x^3"), 5, OPTS)
     assert report.count_distinct == 0 and report.fully_certified
+
+
+@pytest.mark.parametrize("poly, exact_root", [
+    ({3: 1, 0: -2**1101}, 2**367),
+    ({6: 1, 3: -2 * 5**120, 0: 5**240}, 5**40),
+    ({6: 1, 3: -2 * 2**1200, 0: 2**2400}, 2**400),
+], ids=["x^3-2^1101", "(x^3-5^120)^2", "(x^3-2^1200)^2"])
+def test_count_cube_roots_beyond_float_range(poly, exact_root):
+    # x^3 - 2^1101, (x^3 - 5^120)^2, (x^3 - 2^1200)^2: the p-th root of the
+    # inner rational root is too large for a float and must be taken exactly
+    report = count_roots(_poly(poly.items()), 3, OPTS)
+    assert report.fully_certified
+    assert (report.count_distinct, report.count_with_multiplicity) == (1, len(poly) - 1)
+    entry = report.entries[0]
+    assert entry.certificate == EXACT_RATIONAL and entry.rational == exact_root
+
+
+def test_count_w1_at_a_million():
+    report = count_roots(parse_poly("x^1000 - 5*x^3 + 7"), 10**6 + 3, OPTS)
+    assert report.fully_certified
+    assert (report.count_distinct, report.count_with_multiplicity) == (2, 2)
+
+
+def test_count_when_folded_terms_all_cancel():
+    # x^(2(p-1)) + x^(p-1) - 2 vanishes on every unit residue: the p-1
+    # torsion points are simple roots, and x^(p-1) = -2 has no unit solution
+    p = 101
+    report = count_roots(parse_poly(f"x^{2 * (p - 1)} + x^{p - 1} - 2"), p, OPTS)
+    assert report.fully_certified
+    assert (report.count_distinct, report.count_with_multiplicity) == (p - 1, p - 1)
+    assert sorted(e.value.unit_mod(1) for e in report.entries) == list(range(1, p))
+
+
+# -- the unit-residue scan --------------------------------------------------
+
+
+def _poly(terms):
+    return SparsePoly.from_dict({e: Fraction(c) for e, c in terms})
+
+
+def _brute_zeros(terms, p):
+    return {r for r in range(1, p) if sum(c * pow(r, e, p) for e, c in terms) % p == 0}
+
+
+def _brute_order(r, p):
+    order, x = 1, r
+    while x != 1:
+        x, order = x * r % p, order + 1
+    return order
+
+
+def _check_scan(terms, p):
+    zeros = _unit_zeros(_reduce_mod_p(_poly(terms), p), p)
+    assert [r for r, _ in zeros] == sorted(_brute_zeros(terms, p)), (terms, p)
+    for r, i in zeros[:3]:
+        assert (p - 1) // math.gcd(i, p - 1) == _brute_order(r, p), (terms, p, r)
+
+
+def test_unit_zeros_match_brute_force():
+    rng = random.Random(2013)
+    primes = [3, 5, 7, 11, 13] + [q for q in range(17, 20_000) if _is_prime(q)]
+    for case in range(40):
+        p = primes[case] if case < 5 else rng.choice(primes)
+        nterms = rng.randint(2, 4)
+        if case % 3 == 0:
+            # exponents that are multiples of p
+            exps = [p * k for k in rng.sample(range(10**6 // p + 1), nterms)]
+        else:
+            exps = rng.sample(range(10**6 + 1), nterms)
+        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 20) for _ in exps]
+        if all(c % p == 0 for c in coeffs):
+            coeffs[0] = 1
+        terms = list(zip(exps, coeffs))
+        if case % 2 and 0 not in exps:
+            # force a zero at a random unit through the constant term
+            r0 = rng.randrange(1, p)
+            terms.append((0, -sum(c * pow(r0, e, p) for e, c in terms) % p or p))
+        _check_scan(terms, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 101, 19_997])
+def test_unit_zeros_when_folded_terms_all_cancel(p):
+    for terms in ([(p - 1, 1), (0, -1)], [(2 * (p - 1), 1), (0, -1)],
+                  [(5 * p * (p - 1), 3), (p - 1, -1), (0, -2)]):
+        zeros = _unit_zeros(_reduce_mod_p(_poly(terms), p), p)
+        assert [r for r, _ in zeros] == list(range(1, p))
 
 
 # -- oracle equivalence (mini corpus; the full run is in acceptance) ---------
