@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapExceeded, PreconditionFailed, ScanWindowExceeded
+from .padic import int_valuation
 
 D_T_MAX_M = 40
 D_T_MAX_T = 6
@@ -61,11 +62,16 @@ def lenstra_bound(t: int, params: FieldParams) -> float:
     )
 
 
+def sparse_upper_bound_value(t: int, q: int) -> int:
+    """(t^2-t+1)(q-1), whether or not the bound applies."""
+    return (t * t - t + 1) * (q - 1)
+
+
 def sparse_upper_bound(t: int, params: FieldParams) -> int | None:
     """(t^2-t+1)(q-1) when p > e + t; None when the bound does not apply."""
     if params.p <= params.e + t:
         return None
-    return (t * t - t + 1) * (params.q - 1)
+    return sparse_upper_bound_value(t, params.q)
 
 
 @dataclass(frozen=True)
@@ -111,14 +117,6 @@ def _distinct_product_lcm_cached(t: int, m: int) -> int:
     return result
 
 
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _vp_factorial(i: int, p: int) -> int:
     # Legendre
     total, q = 0, p
@@ -135,7 +133,7 @@ def vp_distinct_product_lcm(t: int, m: int, p: int) -> int:
     t pairwise distinct integers <= m: the t largest valuations.  Tests pin
     this against the subset enumeration.
     """
-    vals = sorted((_vp(i, p) for i in range(1, m + 1)), reverse=True)
+    vals = sorted((int_valuation(i, p) for i in range(1, m + 1)), reverse=True)
     return sum(vals[:t])
 
 

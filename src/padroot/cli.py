@@ -59,7 +59,9 @@ class GlobalConfig:
         config = cls()
         path = os.environ.get("PADROOT_CONFIG")
         if path:
-            data = json.loads(Path(path).read_text())
+            data = _read_file(Path(path), "PADROOT_CONFIG")
+            if not isinstance(data, dict):
+                raise ParseError(f"PADROOT_CONFIG {path}: not a JSON object")
             for key in ("prec", "depth", "exponent_cap", "output"):
                 if key in data:
                     setattr(config, key, data[key])
@@ -67,10 +69,12 @@ class GlobalConfig:
             value = getattr(args, key, None)
             if value is not None:
                 setattr(config, key, value)
-        for key, least in (("prec", 1), ("depth", 0)):
+        for key, least in (("prec", 1), ("depth", 0), ("exponent_cap", 0)):
             value = getattr(config, key)
             if type(value) is not int or value < least:
                 raise ParseError(f"{key} must be an integer >= {least}, got {value!r}")
+        if config.output not in ("human", "structured"):
+            raise ParseError(f"output must be 'human' or 'structured', got {config.output!r}")
         return config
 
     def header(self) -> dict:
@@ -83,18 +87,25 @@ class GlobalConfig:
         }
 
 
+def _read_file(path: Path, what: str):
+    """A file's text, or the JSON object it holds if it starts with '{'."""
+    try:
+        text = path.read_text().strip()
+        return json.loads(text) if text.startswith("{") else text
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise ParseError(f"{what} {path}: {exc}") from exc
+
+
 def _read_poly(text_or_file: str):
     candidate = Path(text_or_file)
     try:
         is_file = candidate.is_file()
     except OSError:  # e.g. an inline polynomial longer than a file name may be
         is_file = False
-    if is_file:
-        raw = candidate.read_text().strip()
-        if raw.startswith("{"):
-            return poly_from_obj(json.loads(raw))
-        return parse_poly(raw)
-    return parse_poly(text_or_file)
+    if not is_file:
+        return parse_poly(text_or_file)
+    data = _read_file(candidate, "--poly")
+    return poly_from_obj(data) if isinstance(data, dict) else parse_poly(data)
 
 
 def _emit(config: GlobalConfig, human_lines: list[str], document: dict) -> None:

@@ -19,7 +19,6 @@ every stage with the certified root counter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from .errors import (
     PreconditionFailed,
     SearchExhausted,
 )
-from .padic import fraction_valuation, solve_power_congruences
+from .padic import fraction_valuation, int_valuation, solve_power_congruences
 from .rootcount import CountOptions, RootReport, count_roots
 from .sparsepoly import SparsePoly, newton_polygon
 
@@ -149,11 +148,7 @@ def _pair_separation_valuations(report: RootReport, p: int) -> list[int]:
             diff = (a.value.unit_mod(k) - b.value.unit_mod(k)) % p**k
             if diff == 0:
                 raise PrecisionExhausted("two certified roots agree to working precision")
-            v = 0
-            while diff % p == 0:
-                diff //= p
-                v += 1
-            out.append(a.valuation + v)
+            out.append(a.valuation + int_valuation(diff, p))
     return out
 
 
@@ -313,13 +308,7 @@ def _perturb_and_verify(g_alpha, rep_g, stage, q, opts, records, strict):
 def _modular_valuation(poly: SparsePoly, x: int, p: int, cap: int):
     """v(poly(x)) when below cap, else None (meaning >= cap); always exact."""
     residue = poly.eval_mod(x % p**cap, p, cap)
-    if residue == 0:
-        return None
-    v = 0
-    while residue % p == 0:
-        residue //= p
-        v += 1
-    return v
+    return int_valuation(residue, p) if residue else None
 
 
 def _alpha_candidates(hhat, alpha_prev_top, minimum, q, opts, trace):

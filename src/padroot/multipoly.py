@@ -71,10 +71,6 @@ class MultiPoly:
         degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
 
-    def constant_value(self) -> int:
-        """Coefficient of the constant monomial."""
-        return self.terms.get((0,) * self.nvars, 0)
-
     def leading(self) -> tuple[Monomial, int]:
         """Leading (monomial, coefficient) under graded-lex order."""
         if not self.terms:

@@ -73,10 +73,6 @@ class PadicNum:
         return cls(p, "bottom", floor=floor)
 
     @classmethod
-    def from_integer(cls, n: int, p: int, prec: int = DEFAULT_PRECISION) -> "PadicNum":
-        return cls.from_rational(n, 1, p, prec)
-
-    @classmethod
     def from_rational(cls, num: int, den: int, p: int,
                       prec: int = DEFAULT_PRECISION) -> "PadicNum":
         """Exact rational -> p-adic with the stated relative precision.
@@ -161,10 +157,6 @@ class PadicNum:
                 f"residue mod p^{k} requested, absolute precision {self.abs_prec()}"
             )
         return self.p**self.val * self.unit % self.p**k
-
-    def first_digit(self) -> int:
-        """Leading digit of the expansion: unit part mod p."""
-        return self.unit_mod(1)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -10,7 +10,10 @@ class is cleared of exactly-known roots -- torsion points, certified by
 cyclotomic divisibility of the exponent-folded polynomial, and rational
 points, certified by exact evaluation -- whose multiplicities are therefore
 exact; the recursion continues on the deflated local polynomial so roots
-sharing the class are still found.  Whatever survives the depth budget is
+sharing the class are still found.  Rational points are never searched for
+by factoring: a rational root's digits are the digits of a p-adic root the
+counter certifies anyway, and p-adic rational reconstruction turns enough
+of them back into the fraction.  Whatever survives the depth budget is
 reported as an unresolved cluster with an algebraic-closure disk bound,
 never as a guessed count.
 """
@@ -20,7 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
+from .bounds import FieldParams, sparse_upper_bound, sparse_upper_bound_value
 from .errors import InternalError, PrecisionExhausted, PreconditionFailed
 from .padic import (
     ApproxRootCertificate,
@@ -46,23 +51,10 @@ EXACT_RATIONAL = "ExactRational"
 MIN_WORKING_PREC = 6
 
 
-class _NotApplicable:
-    def __repr__(self):
-        return "NotApplicable"
-
-    def __bool__(self):
-        return False
-
-
-NOT_APPLICABLE = _NotApplicable()
-
-
 @dataclass
 class CountOptions:
     prec: int = 40
     depth: int = 8
-    trial_division_bound: int = 100_000
-    max_rational_candidates: int = 20_000
 
 
 @dataclass
@@ -75,7 +67,9 @@ class RootEntry:
     certificate: str
     rational: Fraction | None = None        # exact value when known rational
     torsion: tuple[int, int] | None = None  # (order d, first digit) at p^valuation * xi
-    val_fprime: int | None = None           # v(f'(root)); None if not visible
+    # v(f~'(root)), f~ being f with its monomial factor and its p-content
+    # divided out; None if not visible at the working precision
+    val_fprime: int | None = None
     hensel: ApproxRootCertificate | None = None
 
     def sort_key(self):
@@ -136,9 +130,6 @@ class RootReport:
     def fully_certified(self) -> bool:
         return not self.unresolved
 
-    def entries_at(self, valuation: int) -> list[RootEntry]:
-        return [e for e in self.entries if e.valuation == valuation]
-
 
 @dataclass
 class BoundCheck:
@@ -154,6 +145,15 @@ class BoundCheck:
 
 
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2..37: a proof of primality below 3.18e23.
+
+    Above that, the least strong pseudoprime to all twelve bases,
+    318665857834031151167461 = 399165290221 * 798330580441, the test proves
+    nothing, so such n is refused rather than guessed about.
+    """
+    if n >= 318_665_857_834_031_151_167_461:
+        raise PreconditionFailed(f"cannot prove {n} prime: the primality test "
+                                 "is exact only below 318665857834031151167461")
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -180,72 +180,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=4096)
-def _factorize(n: int, trial_bound: int) -> dict[int, int] | None:
-    """Prime factorization; None when it cannot be completed at desk scale."""
-    if n == 0:
-        return None
-    n = abs(n)
-    out: dict[int, int] = {}
-    for q in range(2, trial_bound):
-        if q * q > n:
-            break
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-    if n == 1:
-        return out
-    if _is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return out
-    stack = [n]
-    for _ in range(64):
-        if not stack:
-            return out
-        m = stack.pop()
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        if d is None:
-            return None
-        stack.extend([d, m // d])
-    return None
-
-
-def _pollard_rho(n: int, budget: int = 1 << 16) -> int | None:
-    # bounded-effort factor extraction; None means "too hard at desk scale",
-    # which degrades the rational-root scan to incomplete, never to wrong
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 8):
-        x = y = 2
-        d = 1
-        for _ in range(budget):
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-            if d != 1:
-                break
-        if d not in (1, n):
-            return d
-    return None
-
-
-def _divisors(factors: dict[int, int], cap: int) -> list[int] | None:
-    out = [1]
-    for q, e in factors.items():
-        powers = [q**i for i in range(e + 1)]
-        out = [d * w for d in out for w in powers]
-        if len(out) > cap:
-            return None
-    return sorted(out)
-
-
 def _comb_mod_p(n: int, k: int, p: int) -> int:
     """Binomial coefficient mod p by Lucas' theorem; n may be huge."""
     result = 1
@@ -260,8 +194,17 @@ def _comb_mod_p(n: int, k: int, p: int) -> int:
 
 def _primitive_root(p: int) -> int:
     """Least generator of F_p^*; p-1 is factored by trial division, O(sqrt(p))."""
+    primes, n, q = [], p - 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
     gamma = 2
-    while any(pow(gamma, (p - 1) // q, p) == 1 for q in _factorize(p - 1, p)):
+    while any(pow(gamma, (p - 1) // q, p) == 1 for q in primes):
         gamma += 1
     return gamma
 
@@ -270,74 +213,121 @@ def _primitive_root(p: int) -> int:
 # exact certificates: rational roots and torsion points
 
 
-def rational_roots_with_multiplicity(f: SparsePoly, opts: CountOptions) -> tuple[list[tuple[Fraction, int]], bool]:
-    """All rational roots of f with exact multiplicities, plus a completeness flag.
+class _Heights(NamedTuple):
+    a_max: int
+    b_max: int
+    digits: int
 
-    Classical rational-root candidates from divisors of the cleared constant
-    and leading coefficients, prescreened modulo two large primes before any
-    exact evaluation.  When a coefficient cannot be factored at desk scale,
-    the scan is marked incomplete -- missed simple roots are still found by
-    Hensel lifting, and missed multiple roots degrade to unresolved clusters,
-    never to wrong counts.
+
+def _heights(f: SparsePoly, p: int, m: int) -> _Heights | None:
+    """Bounds on the unit parts of the rational roots of valuation m.
+
+    With f cleared to a primitive integer polynomial F, a rational root a/b
+    in lowest terms has a | F(0) and b | lead(F).  Its unit part
+    a'/b' = (a/b)/p^m then has a' | a_max = F(0)/p^max(m, 0) and
+    b' | b_max = lead(F)/p^max(-m, 0), and two such fractions congruent
+    mod p^digits, p^digits > 2 a_max b_max, are equal.  None when no
+    rational root can have valuation m.
     """
-    if f.is_zero() or f.terms[0][0] != 0:
-        raise PreconditionFailed("rational root scan expects a nonzero constant term")
-    den_lcm = math.lcm(*(c.denominator for _, c in f.terms))
-    const = f.terms[0][1] * den_lcm
-    lead = f.terms[-1][1] * den_lcm
+    den = math.lcm(*(c.denominator for _, c in f.terms))
+    ints = [int(c * den) for _, c in f.terms]
+    content = math.gcd(*ints)
+    a_max, a_rem = divmod(abs(ints[0]) // content, p ** max(m, 0))
+    b_max, b_rem = divmod(abs(ints[-1]) // content, p ** max(-m, 0))
+    if a_rem or b_rem:
+        return None
+    digits, power = 1, p
+    while power <= 2 * a_max * b_max:
+        digits, power = digits + 1, power * p
+    return _Heights(a_max, b_max, digits)
+
+
+def _rational_label(g: SparsePoly, p: int, heights: _Heights, unit: int,
+                    known: int) -> Fraction | None:
+    """The rational root u of g (unit coordinates) with u = unit mod p^known.
+
+    Requires known >= heights.digits.  The half-extended Euclidean algorithm
+    on (p^digits, unit) stops at the first remainder <= a_max; by the
+    uniqueness of rational reconstruction (Wang, Guy, Davenport 1982) that
+    row gives the only candidate fraction.  It is accepted only when it
+    matches all known digits, its numerator and denominator divide a_max
+    and b_max, and it makes g vanish exactly.
+    """
+    a_max, b_max, digits = heights
+    r0, r1, t0, t1 = p**digits, unit % p**digits, 0, 1
+    while r1 > a_max:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not r1 or abs(t1) > b_max or math.gcd(r1, t1) != 1:
+        return None
+    u = Fraction(r1 if t1 > 0 else -r1, abs(t1))
+    if a_max % u.numerator or b_max % u.denominator:
+        return None
+    if (u.numerator - unit * u.denominator) % p**known:
+        return None
+    return u if g.eval_exact(u) == 0 else None
+
+
+def _chain_multiplicity(g: SparsePoly, vanishes) -> int:
+    """How many of g, g', g'', ... vanish at an exact point: its multiplicity.
+
+    Bounded by the term count, as any nonzero root of a (t+1)-nomial has
+    multiplicity <= t.
+    """
+    mult, current = 0, g
+    while mult <= g.sparsity():
+        if current.is_zero() or not vanishes(current):
+            return mult
+        mult, current = mult + 1, current.derivative()
+    raise InternalError("multiplicity exceeded the term-count bound")
+
+
+def rational_roots_with_multiplicity(g: SparsePoly, p: int, r: int, order: int,
+                                     torsion, heights: _Heights,
+                                     opts: CountOptions):
+    """The rational roots of g in the unit residue class r, with multiplicities.
+
+    g is in unit coordinates and ḡ has a zero of order >= 2 at r.  A root
+    of multiplicity mu is a simple root of g^(mu-1), and mu <= min(order, t)
+    for a (t+1)-nomial.  So for j = min(order, t) - 1 down to 0 the simple
+    roots of g^(j) in the class are found by the counter's own residue
+    refinement, with the exact points already known (`torsion`, as
+    (point, multiplicity, order) triples, and the rational roots found at
+    larger j) deflated at their multiplicities in g^(j).  Each simple root
+    is lifted to heights.digits and reconstructed (`_rational_label`).
+    Refinement runs at opts.prec, and again at heights.digits when that is
+    larger and clusters remain.  Returns ([(u, multiplicity)] ascending,
+    complete); complete is False when a refinement left a cluster, which
+    may hide a rational root.
+    """
+    found: dict[Fraction, int] = {}
     complete = True
-    f_const = _factorize(int(const), opts.trial_division_bound)
-    f_lead = _factorize(int(lead), opts.trial_division_bound)
-    if f_const is None or f_lead is None:
-        return [], False
-    nums = _divisors(f_const, opts.max_rational_candidates)
-    dens = _divisors(f_lead, opts.max_rational_candidates)
-    if nums is None or dens is None:
-        return [], False
-
-    screens = [(1_000_003, {}), (999_999_937, {})]
-    candidates = set()
-    for num in nums:
-        for den in dens:
-            if math.gcd(num, den) == 1:
-                candidates.add(Fraction(num, den))
-                candidates.add(Fraction(-num, den))
-    if len(candidates) > opts.max_rational_candidates:
-        return [], False
-
-    roots = []
-    for cand in sorted(candidates):
-        ok = True
-        for q, cache in screens:
-            if cand.denominator % q == 0:
+    lift_to = max(opts.prec, heights.digits)
+    for j in reversed(range(min(order, g.sparsity()))):
+        gj = g
+        for _ in range(j):
+            gj = gj.derivative()
+        gj = scale_substitute(gj, p, 0)
+        known = [(point, mu - j, d) for point, mu, d in torsion if mu > j]
+        known += [(u, mu - j, None) for u, mu in found.items() if mu > j]
+        entries, resolved = [], False
+        for n in sorted({opts.prec, lift_to}):
+            try:
+                h, m_exp = _class_poly(gj, p, r, n, known)
+            except PrecisionExhausted:
                 continue
-            key = cand
-            if key not in cache:
-                x = cand.numerator * pow(cand.denominator, -1, q) % q
-                total = 0
-                for e, cf in f.terms:
-                    if cf.denominator % q == 0:
-                        break
-                    cm = cf.numerator * pow(cf.denominator, -1, q) % q
-                    total = (total + cm * pow(x, e, q)) % q
-                else:
-                    cache[key] = total
-            if cache.get(key, 0) != 0:
-                ok = False
+            entries, clusters = _local_count(
+                h, p, m_exp, opts.depth, r, 1, gj, 0, 0,
+                CountOptions(lift_to, opts.depth), inherited_bound=0)
+            resolved = not clusters
+            if resolved:
                 break
-        if not ok:
-            continue
-        if f.eval_exact(cand) != 0:
-            continue
-        mult = 1
-        deriv = f.derivative()
-        while mult <= f.sparsity() and deriv.eval_exact(cand) == 0:
-            mult += 1
-            deriv = deriv.derivative()
-        if mult > f.sparsity():
-            raise InternalError("multiplicity exceeded the term-count bound")
-        roots.append((cand, mult))
-    return roots, complete
+        complete = complete and resolved
+        for entry in entries:
+            u = _rational_label(g, p, heights, entry.value.unit_mod(lift_to), lift_to)
+            if u is not None and u not in found:
+                found[u] = _chain_multiplicity(g, lambda h: h.eval_exact(u) == 0)
+    return sorted(found.items()), complete
 
 
 def _cyclotomic(d: int, _cache={}) -> list[int]:
@@ -396,24 +386,16 @@ def torsion_multiplicity(g: SparsePoly, p: int, d: int) -> int:
 
     A torsion point of exact order d is a root of g over Q_p iff its minimal
     polynomial, the d-th cyclotomic polynomial, divides g over Q; the
-    multiplicity is read off the derivative chain.  Bounded by the term
-    count, as any nonzero root of a (t+1)-nomial has multiplicity <= t.
+    multiplicity is read off the derivative chain.
     """
-    mult = 0
-    current = g
-    while mult <= g.sparsity():
-        if current.is_zero() or not _divisible_by_cyclotomic(current, p, d):
-            return mult
-        mult += 1
-        current = current.derivative()
-    raise InternalError("torsion multiplicity exceeded the term-count bound")
+    return _chain_multiplicity(g, lambda h: _divisible_by_cyclotomic(h, p, d))
 
 
 # ---------------------------------------------------------------------------
 # dense local arithmetic (everything degree < prec, coefficients mod p^M)
 
 
-def _dense_eval(h: list[int], y: int, p: int, mod: int) -> int:
+def _dense_eval(h: list[int], y: int, mod: int) -> int:
     total = 0
     for c in reversed(h):
         total = (total * y + c) % mod
@@ -438,22 +420,24 @@ def _fp_reduce(h: list[int], p: int) -> list[int]:
     return out
 
 
+def _divide_linear(h: list[int], c: int, mod: int) -> tuple[list[int], int]:
+    """Quotient and remainder of h by (y - c) modulo mod (synthetic division)."""
+    quot = [0] * (len(h) - 1)
+    acc = 0
+    for i in range(len(h) - 1, 0, -1):
+        acc = (acc * c + h[i]) % mod
+        quot[i - 1] = acc
+    return quot, (acc * c + h[0]) % mod
+
+
 def _fp_order(hbar: list[int], c: int, p: int) -> int:
     """Largest k with (y - c)^k dividing hbar over F_p."""
     order = 0
-    current = list(hbar)
-    while current:
-        # synthetic division by (y - c)
-        quot = [0] * (len(current) - 1)
-        acc = 0
-        for i in range(len(current) - 1, 0, -1):
-            acc = (acc * c + current[i]) % p
-            quot[i - 1] = acc
-        rem = (acc * c + current[0]) % p
-        if rem != 0:
-            return order
+    while hbar:
+        hbar, rem = _divide_linear(hbar, c, p)
+        if rem:
+            break
         order += 1
-        current = quot
     return order
 
 
@@ -479,10 +463,10 @@ def _dense_newton(h: list[int], c: int, p: int, m_exp: int) -> int:
     hp = [k * coeff % mod for k, coeff in enumerate(h)][1:]
     y = c % p
     for _ in range(2 * m_exp.bit_length() + 6):
-        fy = _dense_eval(h, y, p, mod)
+        fy = _dense_eval(h, y, mod)
         if fy == 0:
             break
-        dy = _dense_eval(hp, y, p, mod)
+        dy = _dense_eval(hp, y, mod)
         if dy % p == 0:
             raise InternalError("simple residue root lost its simplicity")
         y = (y - fy * pow(dy, -1, mod)) % mod
@@ -491,51 +475,77 @@ def _dense_newton(h: list[int], c: int, p: int, m_exp: int) -> int:
 
 def _deflate(h: list[int], ystar: int, mult: int, p: int, m_exp: int) -> list[int]:
     """Exact synthetic division of h by (y - ystar)^mult in Z/p^m_exp."""
-    mod = p**m_exp
-    current = list(h)
     for _ in range(mult):
-        quot = [0] * (len(current) - 1)
-        acc = 0
-        for i in range(len(current) - 1, 0, -1):
-            acc = (acc + current[i]) % mod
-            quot[i - 1] = acc
-            acc = acc * ystar % mod
-        rem = (acc + current[0]) % mod
-        if rem != 0:
+        if len(h) < 2:
+            raise PrecisionExhausted("local polynomial truncated below the deflation degree")
+        h, rem = _divide_linear(h, ystar, p**m_exp)
+        if rem:
             raise InternalError("deflation by a certified exact root left a remainder")
-        current = quot
-    return current
+    return h
+
+
+def _point_mod(point, p: int, k: int) -> int:
+    """An exact unit point -- a Teichmuller PadicNum or a Fraction -- mod p^k."""
+    if isinstance(point, PadicNum):
+        if point.prec < k:
+            point = teichmuller(p, point.unit_mod(1), k)
+        return point.residue(k)
+    return point.numerator * pow(point.denominator, -1, p**k) % p**k
+
+
+def _class_poly(g: SparsePoly, p: int, r: int, n: int, exact_points):
+    """g on the class r + pZ_p as a dense polynomial in y, x = r + p*y.
+
+    Truncated mod p^(n-1), with each (point, multiplicity, order) of
+    `exact_points` divided out; returns (h, n - 1).
+    """
+    m_exp = n - 1
+    mod = p**m_exp
+    h = [c % mod for c in taylor_shift_truncate(g, r, p, n)]
+    for point, mu, _ in exact_points:
+        ystar = ((_point_mod(point, p, n) - r) // p) % mod
+        h = _deflate(h, ystar, mu, p, m_exp)
+    return h, m_exp
+
+
+def _torsion_rational(order: int, p: int, m: int) -> Fraction | None:
+    """p^m * xi for the rational torsion points xi = 1 and -1 (orders 1, 2)."""
+    if order > 2:
+        return None
+    return Fraction(1 if order == 1 else -1) * Fraction(p) ** m
 
 
 # ---------------------------------------------------------------------------
 # the counter
 
 
-def segment_root_count(f: SparsePoly, p: int, seg: Segment, prec: int = 40,
-                       rationals=()):
+def _joins_adjacent_terms(f: SparsePoly, seg: Segment) -> bool:
+    exps = f.exponents()
+    i = exps.index(seg.start[0])
+    return i + 1 < len(exps) and exps[i + 1] == seg.end[0]
+
+
+def segment_root_count(f: SparsePoly, p: int, seg: Segment, prec: int = 40):
     """Count roots of f on one binomial-dominated Newton-polygon segment.
 
     Requires the segment to join consecutive support points of f.  Returns
-    NOT_APPLICABLE when p divides the segment width (the binomial
-    correspondence breaks); otherwise returns (count, entries) where every
-    root is simple and carries a Hensel certificate.  The count is
-    gcd(p-1, width) when the slope is integral and the relevant first digit
-    is a width-th power in F_p^*, and zero otherwise; it never exceeds p-1.
+    None when p divides the segment width (the binomial correspondence
+    breaks); otherwise returns (count, entries) where every root is simple
+    and carries a Hensel certificate.  The count is gcd(p-1, width) when
+    the slope is integral and the relevant first digit is a width-th power
+    in F_p^*, and zero otherwise; it never exceeds p-1.
     """
-    np_ = newton_polygon(f, p)
-    if not np_.segment_endpoints_adjacent_in_support(seg):
+    if not _joins_adjacent_terms(f, seg):
         raise PreconditionFailed("segment does not join consecutive support points")
     width = seg.length
     if width % p == 0:
-        return NOT_APPLICABLE
+        return None
     mval = seg.root_valuation()
     if mval.denominator != 1:
         return 0, []
     m = int(mval)
     g = scale_substitute(f, p, m)
-    lo, hi = seg.start[0], seg.end[0]
-    a_lo, a_hi = g.coefficient(lo), g.coefficient(hi)
-    ratio = -a_lo / a_hi
+    ratio = -g.coefficient(seg.start[0]) / g.coefficient(seg.end[0])
     digit = ratio.numerator * pow(ratio.denominator, -1, p) % p
     if digit == 0:
         raise InternalError("segment endpoint coefficient not a unit")
@@ -545,11 +555,8 @@ def segment_root_count(f: SparsePoly, p: int, seg: Segment, prec: int = 40,
     residues = [r for r in range(1, p) if pow(r, width, p) == digit]
     if len(residues) != gcd:
         raise InternalError("unit residue count disagrees with gcd formula")
-    nu = _scale_valuation_shift(f, p, m)
-    entries = []
-    for r in residues:
-        entries.append(_lift_unit_root(g, p, r, m, nu, prec, rationals))
-    return gcd, entries
+    nu, heights = _scale_valuation_shift(f, p, m), _heights(f, p, m)
+    return gcd, [_lift_unit_root(g, p, r, m, nu, prec, heights) for r in residues]
 
 
 def _scale_valuation_shift(f: SparsePoly, p: int, m: int) -> int:
@@ -557,27 +564,30 @@ def _scale_valuation_shift(f: SparsePoly, p: int, m: int) -> int:
 
 
 def _lift_unit_root(g: SparsePoly, p: int, r0: int, m: int, nu: int, prec: int,
-                    rationals=()) -> RootEntry:
+                    heights: _Heights | None) -> RootEntry:
     # start from the residue as a capped element: evaluation stays modular,
     # so lacunary exponents in the millions never appear in exact powers
     start = PadicNum(p, "num", 0, r0, prec + 8)
-    root, cert = hensel_lift(g, start, p, prec=prec)
-    value = root * Fraction(p) ** m if m else root
-    rational = None
-    for cand, mult in rationals:
-        if fraction_valuation(cand, p) != m:
-            continue
-        unit = cand / Fraction(p) ** m
-        if unit.numerator * pow(unit.denominator, -1, p) % p == r0:
-            # a simple residue class holds exactly one root; it is this one
-            rational = cand
-            break
+    # the label may need more digits than the report keeps; the lift from
+    # the same start, cut back to prec digits, is the root lifted to prec
+    lift_to = max(prec, heights.digits) if heights else prec
+    root, cert = hensel_lift(g, start, p, prec=lift_to)
+    entry = _hensel_entry(PadicNum(p, "num", 0, root.unit_mod(prec), prec), cert, p, m, nu)
+    if heights:
+        # a simple residue class holds exactly one root: if rational, this one
+        unit = _rational_label(g, p, heights, root.unit_mod(lift_to), lift_to)
+        if unit is not None:
+            entry.rational = unit * Fraction(p) ** m
+    return entry
+
+
+def _hensel_entry(root: PadicNum, cert, p: int, m: int, nu: int) -> RootEntry:
+    """The entry of the simple root p^m * root that `cert` certifies."""
     return RootEntry(
-        value=value,
+        value=root * Fraction(p) ** m if m else root,
         valuation=m,
         multiplicity=1,
         certificate=HENSEL_SIMPLE,
-        rational=rational,
         val_fprime=nu - m + cert.val_fprime_r0,
         hensel=cert,
     )
@@ -586,15 +596,15 @@ def _lift_unit_root(g: SparsePoly, p: int, r0: int, m: int, nu: int, prec: int,
 def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> RootReport:
     """Certified inventory of the roots of f in Q_p^*, with multiplicities.
 
-    Strategy: strip the monomial factor, descend through x -> x^p layers
-    (each root of the inner polynomial has at most one p-th root), then walk
-    the Newton polygon grouping roots by valuation and refining by residue
-    digits.  Multiplicities above one are only ever asserted at exactly
-    representable points; anything else is returned as an unresolved cluster
-    with an upper bound.
+    Strategy: strip the monomial factor and the p-content, descend through
+    x -> x^p layers (each root of the inner polynomial has at most one p-th
+    root), then walk the Newton polygon grouping roots by valuation and
+    refining by residue digits.  Multiplicities above one are only ever
+    asserted at exactly representable points; anything else is returned as
+    an unresolved cluster with an upper bound.
     """
     opts = opts or CountOptions()
-    if not _is_prime(p) or p == 2:
+    if p == 2 or not _is_prime(p):
         raise PreconditionFailed(f"p must be an odd prime, got {p}")
     if f.is_zero():
         raise PreconditionFailed("cannot count roots of the zero polynomial")
@@ -603,28 +613,23 @@ def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> Root
     stripped, _ = f.strip_lowest()
     if stripped.num_terms() <= 1:
         return report
-
-    if all(e % p == 0 for e in stripped.exponents()):
-        inner = count_roots(stripped.descend_exponents(p), p, opts)
-        return _map_pth_roots(report, inner, stripped, p, opts)
-
     normalized = scale_substitute(stripped, p, 0)
-    np_ = newton_polygon(normalized, p)
-    rationals, _complete = rational_roots_with_multiplicity(normalized, opts)
 
-    for seg in np_.segments:
+    if all(e % p == 0 for e in normalized.exponents()):
+        inner = count_roots(normalized.descend_exponents(p), p, opts)
+        return _map_pth_roots(report, inner, normalized, p, opts)
+
+    for seg in newton_polygon(normalized, p).segments:
         mval = seg.root_valuation()
         if mval.denominator != 1:
             continue
         m = int(mval)
-        if np_.segment_endpoints_adjacent_in_support(seg):
-            res = segment_root_count(normalized, p, seg, prec=opts.prec,
-                                     rationals=rationals)
-            if res is not NOT_APPLICABLE:
-                _, seg_entries = res
-                report.entries.extend(seg_entries)
+        if _joins_adjacent_terms(normalized, seg):
+            res = segment_root_count(normalized, p, seg, prec=opts.prec)
+            if res is not None:
+                report.entries.extend(res[1])
                 continue
-        entries, clusters = _unit_roots_general(normalized, p, m, rationals, opts)
+        entries, clusters = _unit_roots_general(normalized, p, m, opts)
         report.entries.extend(entries)
         report.unresolved.extend(clusters)
 
@@ -686,11 +691,7 @@ def _residue_order(support: dict[int, int], p: int, r: int) -> int:
     """
     if len(support) == 1:
         return 0  # a monomial has no unit roots
-    gcd_exp = math.gcd(*support.keys())
-    scale = 1
-    while gcd_exp % p == 0:
-        gcd_exp //= p
-        scale *= p
+    scale = p ** int_valuation(math.gcd(*support.keys()), p)
     if scale > 1:
         # h(x^(p^s)) = h(x)^(p^s) over F_p; Frobenius fixes the coefficients
         support = {e // scale: c for e, c in support.items()}
@@ -709,11 +710,11 @@ def _residue_order(support: dict[int, int], p: int, r: int) -> int:
             raise InternalError("residue order exceeded the degree")
 
 
-def _unit_roots_general(f0: SparsePoly, p: int, m: int,
-                        rationals: list[tuple[Fraction, int]], opts: CountOptions):
+def _unit_roots_general(f0: SparsePoly, p: int, m: int, opts: CountOptions):
     """Roots of f0 with valuation m, found by residue refinement at that scale."""
     g = scale_substitute(f0, p, m)
     nu = _scale_valuation_shift(f0, p, m)
+    heights = _heights(f0, p, m)
     n = opts.prec
     entries: list[RootEntry] = []
     clusters: list[UnresolvedCluster] = []
@@ -722,49 +723,33 @@ def _unit_roots_general(f0: SparsePoly, p: int, m: int,
     for r, i in _unit_zeros(support, p):
         ord0 = _residue_order(support, p, r)
         if ord0 == 1:
-            entries.append(_lift_unit_root(g, p, r, m, nu, n, rationals))
+            entries.append(_lift_unit_root(g, p, r, m, nu, n, heights))
             continue
 
-        # exactly representable roots of this residue class
+        # exactly representable roots of this residue class, as
+        # (point, multiplicity, torsion order or None for a rational)
         exact_points = []
         d = (p - 1) // math.gcd(i, p - 1)  # the order of r = gamma^i
         tor_mult = torsion_multiplicity(g, p, d)
         if tor_mult > 0:
-            xi = teichmuller(p, r, n)
-            exact_points.append(("torsion", xi, tor_mult, d))
-        torsion_rational = Fraction(1) if d == 1 else (Fraction(-1) if d == 2 else None)
-        for root, mu in rationals:
-            if fraction_valuation(root, p) != m:
-                continue
-            unit = root / Fraction(p) ** m
-            if unit.numerator * pow(unit.denominator, -1, p) % p != r:
-                continue
-            if tor_mult > 0 and unit == torsion_rational:
-                continue  # the torsion entry already covers +-1
-            exact_points.append(("rational", unit, mu, None))
+            exact_points.append((teichmuller(p, r, n), tor_mult, d))
+        if heights:
+            rationals, _ = rational_roots_with_multiplicity(
+                g, p, r, ord0, exact_points, heights, opts)
+            exact_points += [(u, mu, None) for u, mu in rationals]
 
-        for kind, point, mu, order in exact_points:
-            entries.append(_exact_entry(g, p, kind, point, mu, order, r, m, nu, opts))
+        for point, mu, order in exact_points:
+            entries.append(_exact_entry(g, p, point, mu, order, r, m, nu, n))
 
         # deflate the exact roots out of the local picture and keep looking
-        h = taylor_shift_truncate(g, r, p, n)
-        m_exp = n - 1
-        mod = p**m_exp
-        h = [c % mod for c in h]
+        remaining = max(ord0 - sum(mu for _, mu, _ in exact_points), 0)
         try:
-            for kind, point, mu, _ in exact_points:
-                if kind == "torsion":
-                    x_res = point.residue(m_exp + 1)
-                else:
-                    x_res = point.numerator * pow(point.denominator, -1, p ** (m_exp + 1)) % p ** (m_exp + 1)
-                ystar = ((x_res - r) // p) % mod
-                h = _deflate(h, ystar, mu, p, m_exp)
+            h, m_exp = _class_poly(g, p, r, n, exact_points)
             sub_entries, sub_clusters = _local_count(
                 h, p, m_exp, opts.depth, r, 1, g, m, nu, opts,
-                inherited_bound=max(ord0 - sum(e[2] for e in exact_points), 0),
+                inherited_bound=remaining,
             )
         except PrecisionExhausted:
-            remaining = max(ord0 - sum(e[2] for e in exact_points), 0)
             sub_entries, sub_clusters = [], []
             if remaining:
                 sub_clusters = [UnresolvedCluster(m, r, 1, remaining, 0, "precision")]
@@ -773,37 +758,18 @@ def _unit_roots_general(f0: SparsePoly, p: int, m: int,
     return entries, clusters
 
 
-def _exact_entry(g, p, kind, point, mu, order, r, m, nu, opts) -> RootEntry:
-    n = opts.prec
-    if kind == "torsion":
-        value = point * Fraction(p) ** m if m else point
-        rational = Fraction(1) if order == 1 else (Fraction(-1) if order == 2 else None)
-        if rational is not None:
-            rational *= Fraction(p) ** m
-        torsion = (order, r)
-        certificate = EXACT_TORSION
-        x_res = point.residue(n)
-    else:
-        root_f = point * Fraction(p) ** m
-        value = PadicNum.from_fraction(root_f, p, n)
-        rational = root_f
-        torsion = None
-        certificate = EXACT_RATIONAL
-        x_res = point.numerator * pow(point.denominator, -1, p**n) % p**n
-    val_fprime = None
-    if mu == 1:
-        dv = g.derivative().eval_mod(x_res, p, n)
-        if dv:
-            val_fprime = nu - m + int_valuation(dv, p)
-    return RootEntry(
-        value=value,
-        valuation=m,
-        multiplicity=mu,
-        certificate=certificate,
-        rational=rational,
-        torsion=torsion,
-        val_fprime=val_fprime,
-    )
+def _exact_entry(g, p, point, mu, order, r, m, nu, n) -> RootEntry:
+    """The entry of the exact point p^m * point: torsion of the given order
+    with first digit r, or a rational when order is None."""
+    dv = g.derivative().eval_mod(_point_mod(point, p, n), p, n) if mu == 1 else 0
+    val_fprime = nu - m + int_valuation(dv, p) if dv else None
+    if order is None:
+        rational = point * Fraction(p) ** m
+        return RootEntry(PadicNum.from_fraction(rational, p, n), m, mu, EXACT_RATIONAL,
+                         rational=rational, val_fprime=val_fprime)
+    return RootEntry(point * Fraction(p) ** m if m else point, m, mu, EXACT_TORSION,
+                     rational=_torsion_rational(order, p, m), torsion=(order, r),
+                     val_fprime=val_fprime)
 
 
 def _local_count(h, p, m_exp, depth, center, level, g, m, nu, opts, inherited_bound):
@@ -859,15 +825,7 @@ def _polish_against_sparse(g, p, x_res, known, m, nu, opts) -> RootEntry | None:
         root, cert = hensel_lift(g, approx, p, prec=opts.prec)
     except (PreconditionFailed, PrecisionExhausted):
         return None
-    value = root * Fraction(p) ** m if m else root
-    return RootEntry(
-        value=value,
-        valuation=m,
-        multiplicity=1,
-        certificate=HENSEL_SIMPLE,
-        val_fprime=nu - m + cert.val_fprime_r0,
-        hensel=cert,
-    )
+    return _hensel_entry(root, cert, p, m, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -881,36 +839,23 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
         if entry.valuation % p:
             continue
         x_val = entry.valuation // p
+        g_scaled = scale_substitute(f_desc, p, x_val)
+        nu = _scale_valuation_shift(f_desc, p, x_val)
         if entry.torsion is not None:
             # the p-th root of a torsion point is torsion of the same order
             d, digit = entry.torsion
-            a = pow(p, -1, d) if d > 1 else 1
-            new_digit = pow(digit, a, p)
-            xi = teichmuller(p, new_digit, n)
-            value = xi * Fraction(p) ** x_val if x_val else xi
-            rational = Fraction(1) if d == 1 else (Fraction(-1) if d == 2 else None)
-            if rational is not None:
-                rational *= Fraction(p) ** x_val
-            report.entries.append(RootEntry(
-                value=value, valuation=x_val, multiplicity=entry.multiplicity,
-                certificate=EXACT_TORSION, rational=rational, torsion=(d, new_digit),
-                val_fprime=_val_fprime_at(f_desc, p, xi.residue(n), x_val, n)
-                if entry.multiplicity == 1 else None,
-            ))
+            new_digit = pow(digit, pow(p, -1, d) if d > 1 else 1, p)
+            report.entries.append(_exact_entry(
+                g_scaled, p, teichmuller(p, new_digit, n), entry.multiplicity, d,
+                new_digit, x_val, nu, n))
             continue
-        if entry.rational is not None:
-            exact = _rational_pth_root(entry.rational, p)
-            if exact is not None:
-                unit = exact / Fraction(p) ** x_val
-                res_int = unit.numerator * pow(unit.denominator, -1, p**n) % p**n
-                report.entries.append(RootEntry(
-                    value=PadicNum.from_fraction(exact, p, n), valuation=x_val,
-                    multiplicity=entry.multiplicity, certificate=EXACT_RATIONAL,
-                    rational=exact,
-                    val_fprime=_val_fprime_at(f_desc, p, res_int, x_val, n)
-                    if entry.multiplicity == 1 else None,
-                ))
-                continue
+        exact = (_rational_pth_root(entry.rational, p)
+                 if entry.rational is not None else None)
+        if exact is not None:
+            report.entries.append(_exact_entry(
+                g_scaled, p, exact / Fraction(p) ** x_val, entry.multiplicity, None,
+                None, x_val, nu, n))
+            continue
         # generic: search for a p-adic p-th root of the unit part
         avail = min(int(entry.value.prec), n)
         unit_res = entry.value.unit_mod(avail)
@@ -924,8 +869,6 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
                 x_val, root_res % p**2, 2, entry.multiplicity, 0,
                 "pth-root of a multiple root"))
             continue
-        g_scaled = scale_substitute(f_desc, p, x_val)
-        nu = _scale_valuation_shift(f_desc, p, x_val)
         entryf = _polish_against_sparse(g_scaled, p, root_res % p**(avail - 2),
                                         avail - 2, x_val, nu, opts)
         if entryf is not None:
@@ -940,16 +883,6 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
             f"descended: {cluster.reason}"))
     report.entries.sort(key=RootEntry.sort_key)
     return report
-
-
-def _val_fprime_at(f_desc, p, unit_res: int, x_val: int, n: int) -> int | None:
-    """v(f'(root)) for a root p^x_val * unit, through the rescaled polynomial."""
-    g = scale_substitute(f_desc, p, x_val)
-    nu = _scale_valuation_shift(f_desc, p, x_val)
-    dv = g.derivative().eval_mod(unit_res % p**n, p, n)
-    if dv == 0:
-        return None
-    return nu - x_val + int_valuation(dv, p)
 
 
 def _rational_pth_root(q: Fraction, p: int) -> Fraction | None:
@@ -1018,11 +951,12 @@ def verify_upper_bounds(report: RootReport, t: int, p: int) -> list[BoundCheck]:
     bound 2t is included as a diagnostic.
     """
     observed = report.count_with_multiplicity
+    bound = sparse_upper_bound(t, FieldParams(p))
     main = BoundCheck(
         name="sparse-upper-bound",
-        value=(t * t - t + 1) * (p - 1),
-        applicable=p > t + 1,
-        satisfied=(observed <= (t * t - t + 1) * (p - 1)) if p > t + 1 else None,
+        value=sparse_upper_bound_value(t, p),
+        applicable=bound is not None,
+        satisfied=observed <= bound if bound is not None else None,
         observed=observed,
     )
     rational_mult = sum(

@@ -22,15 +22,13 @@ from .errors import (
     PrecisionExhausted,
     PreconditionFailed,
 )
-from .padic import PadicNum, fraction_valuation, int_valuation
-
-MAX_EXPONENT_DEFAULT = 10**6
+from .padic import PadicNum, fraction_valuation
 
 
 class SparsePoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_residues")
 
     def __init__(self, terms):
         cleaned = []
@@ -45,14 +43,11 @@ class SparsePoly:
             if coeff:
                 cleaned.append((exp, coeff))
         self.terms = tuple(cleaned)
+        self._residues = {}  # modulus -> coefficients reduced mod it (eval_mod)
 
     @classmethod
     def from_dict(cls, data: dict[int, Fraction]) -> "SparsePoly":
         return cls(sorted(data.items()))
-
-    @classmethod
-    def zero(cls) -> "SparsePoly":
-        return cls(())
 
     # -- queries ------------------------------------------------------
 
@@ -100,11 +95,16 @@ class SparsePoly:
     def eval_mod(self, x: int, p: int, k: int) -> int:
         """Value at the integer x modulo p^k; coefficients must be p-integral."""
         modulus = p**k
-        total = 0
-        for e, c in self.terms:
-            if c.denominator % p == 0:
+        if modulus not in self._residues:
+            # reduced once per modulus: Newton steps evaluate at one modulus,
+            # and rescaled coefficients can have millions of bits
+            if any(c.denominator % p == 0 for _, c in self.terms):
                 raise PreconditionFailed("coefficient with negative valuation")
-            cm = c.numerator * pow(c.denominator, -1, modulus) % modulus
+            self._residues[modulus] = [
+                (e, c.numerator * pow(c.denominator, -1, modulus) % modulus)
+                for e, c in self.terms]
+        total = 0
+        for e, cm in self._residues[modulus]:
             total = (total + cm * pow(x, e, modulus)) % modulus
         return total
 
@@ -113,21 +113,11 @@ class SparsePoly:
     def derivative(self) -> "SparsePoly":
         return SparsePoly((e - 1, c * e) for e, c in self.terms if e > 0)
 
-    def hasse_derivative(self, k: int) -> "SparsePoly":
-        """k-th divided derivative: sum C(e, k) c x^(e-k); exact."""
-        return SparsePoly(
-            (e - k, c * math.comb(e, k)) for e, c in self.terms if e >= k
-        )
-
     def add_constant(self, value) -> "SparsePoly":
         value = Fraction(value)
         data = dict(self.terms)
         data[0] = data.get(0, Fraction(0)) + value
         return SparsePoly.from_dict(data)
-
-    def scale(self, value) -> "SparsePoly":
-        value = Fraction(value)
-        return SparsePoly((e, c * value) for e, c in self.terms)
 
     def strip_lowest(self) -> tuple["SparsePoly", int]:
         """Divide out x^(lowest exponent); returns (quotient, shift)."""
@@ -137,11 +127,6 @@ class SparsePoly:
         if low == 0:
             return self, 0
         return SparsePoly((e - low, c) for e, c in self.terms), low
-
-    def min_valuation(self, p: int) -> int:
-        if not self.terms:
-            raise InternalError("zero polynomial has no coefficient valuation")
-        return min(fraction_valuation(c, p) for _, c in self.terms)
 
     def descend_exponents(self, p: int) -> "SparsePoly":
         """Replace x^e by x^(e/p); requires every exponent divisible by p."""
@@ -264,12 +249,6 @@ class NewtonPolygon:
             if m.denominator == 1:
                 out.append(int(m))
         return out
-
-    def segment_endpoints_adjacent_in_support(self, seg: Segment) -> bool:
-        """True when the segment joins two consecutive support points."""
-        xs = [x for x, _ in self.support]
-        i = xs.index(seg.start[0])
-        return i + 1 < len(xs) and xs[i + 1] == seg.end[0]
 
     def __repr__(self):
         return f"NewtonPolygon({self.segments})"
@@ -411,5 +390,5 @@ def poly_from_obj(data: dict) -> SparsePoly:
                 raise DuplicateExponent(f"duplicate exponent {e}")
             terms[e] = Fraction(c)
         return SparsePoly.from_dict(terms)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed structured polynomial: {exc}") from exc

@@ -147,3 +147,49 @@ def test_config_file_values_validated(capsys, tmp_path, monkeypatch, data):
     code, _, err = run(capsys, ["count-roots", "--p", "5", "--poly", "x^2-1"])
     assert code == EXIT_USAGE
     assert "input error" in err
+
+
+@pytest.mark.parametrize("content", [None, "dir", "not json{", "[1, 2]",
+                                     '{"output": "xml"}', '{"exponent_cap": "many"}'],
+                         ids=["missing", "unreadable", "not-json", "not-object",
+                              "bad-output", "bad-exponent-cap"])
+def test_config_file_errors_exit_1(capsys, tmp_path, monkeypatch, content):
+    config = tmp_path / "config.json"
+    if content == "dir":
+        config.mkdir()
+    elif content is not None:
+        config.write_text(content)
+    monkeypatch.setenv("PADROOT_CONFIG", str(config))
+    code, _, err = run(capsys, ["count-roots", "--p", "5", "--poly", "x^2-1"])
+    assert code == EXIT_USAGE
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("content", ['{"terms": [[0, "-1/1"], ', '{"terms": [[0, "1/0"]]}',
+                                     b"\xff\xfe{"], ids=["malformed", "zero-den", "not-utf8"])
+def test_poly_file_errors_exit_1(capsys, tmp_path, content):
+    poly_file = tmp_path / "poly.json"
+    if isinstance(content, bytes):
+        poly_file.write_bytes(content)
+    else:
+        poly_file.write_text(content)
+    code, _, err = run(capsys, ["count-roots", "--p", "5", "--poly", str(poly_file)])
+    assert code == EXIT_USAGE
+    assert "input error" in err
+
+
+def test_low_precision_deflation_is_a_cluster(capsys):
+    # (x-1)(x-6)(x-2) at p = 5: one digit cannot hold the class of 1 and 6
+    code, out, err = run(capsys, ["--prec", "1", "--format", "structured", "count-roots",
+                                  "--p", "5", "--poly", "x^3-9*x^2+20*x-12"])
+    assert code in (EXIT_OK, EXIT_PARTIAL), err
+    assert json.loads(out)["totals"]["upper_bound_with_multiplicity"] >= 3
+
+
+@pytest.mark.parametrize("command", [["count-roots", "--poly", "x^2-1"],
+                                     ["search", "--t", "1", "--max-exp", "4"]])
+def test_unprovable_prime_exits_1(capsys, command):
+    # 399165290221 * 798330580441: a strong pseudoprime to the bases 2..37
+    code, _, err = run(capsys, command + ["--p", "318665857834031151167461"])
+    assert code == EXIT_USAGE
+    assert "cannot prove" in err

@@ -9,8 +9,8 @@ from padroot.rootcount import (
     EXACT_RATIONAL,
     EXACT_TORSION,
     HENSEL_SIMPLE,
-    NOT_APPLICABLE,
     CountOptions,
+    _heights,
     _is_prime,
     _reduce_mod_p,
     _unit_zeros,
@@ -56,7 +56,7 @@ def test_segment_nonresidue():
 def test_segment_not_applicable():
     f = parse_poly("x^18 - 1")
     res = segment_root_count(f, 3, slope_segment(f, 3, 0))
-    assert res is NOT_APPLICABLE
+    assert res is None
 
 
 def test_segment_requires_adjacent_support():
@@ -68,15 +68,22 @@ def test_segment_requires_adjacent_support():
 # -- exact certificates -----------------------------------------------------
 
 
+def _labels(report):
+    return {e.rational: e.multiplicity for e in report.entries if e.rational is not None}
+
+
 def test_rational_roots_exact():
+    # the class-local search: 1/2 = 3 mod 5 is a double root in the class 3
     f = parse_poly("4*x^2 - 4*x + 1")
-    roots, complete = rational_roots_with_multiplicity(f, OPTS)
+    roots, complete = rational_roots_with_multiplicity(
+        f, 5, 3, 2, [], _heights(f, 5, 0), OPTS)
     assert complete
     assert roots == [(Fraction(1, 2), 2)]
+    assert _labels(count_roots(f, 5, OPTS)) == {Fraction(1, 2): 2}
 
+    # simple roots in simple classes are labelled where they are lifted
     g = parse_poly("x^2 - 3*x + 2")
-    roots, _ = rational_roots_with_multiplicity(g, OPTS)
-    assert roots == [(Fraction(1), 1), (Fraction(2), 1)]
+    assert _labels(count_roots(g, 5, OPTS)) == {Fraction(1): 1, Fraction(2): 1}
 
 
 def test_torsion_multiplicity_trinomial():
@@ -364,3 +371,129 @@ def test_torsion_closure_property():
             xi = teichmuller(5, a, 12).residue(12)
             scaled = xi * e.value.unit_mod(12) % 5**12
             assert f.eval_mod(scaled * pow(5, max(e.valuation, 0), 5**12), 5, 10) == 0
+
+
+# -- rational labels: oracle, metamorphic relations, reconstruction edges -----
+
+
+def _divisors(n):
+    n = abs(n)
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _oracle_rationals(f):
+    """{rational root: multiplicity} of f in Q^* by divisor pairs, exactly."""
+    stripped, _ = f.strip_lowest()
+    den = math.lcm(*(c.denominator for _, c in stripped.terms))
+    const, lead = (int(stripped.terms[i][1] * den) for i in (0, -1))
+    out = {}
+    for a in _divisors(const):
+        for b in _divisors(lead):
+            for x in {Fraction(a, b), Fraction(-a, b)}:
+                deriv, mult = stripped, 0
+                while deriv.eval_exact(x) == 0:
+                    deriv, mult = deriv.derivative(), mult + 1
+                if mult:
+                    out[x] = mult
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_rational_labels_match_divisor_oracle(p):
+    from oracle import random_sparse_poly
+
+    rng = random.Random(8100 + p)
+    certified = 0
+    for _ in range(80):
+        f = random_sparse_poly(rng, max_terms=4, max_exp=50, coeff_bound=20)
+        report = count_roots(f, p, OPTS)
+        if report.fully_certified:
+            certified += 1
+            assert _labels(report) == _oracle_rationals(f), f.terms
+    assert certified >= 70
+
+
+def _entry_key(e):
+    return (e.valuation, e.value.unit_mod(min(e.value.prec, 12)), e.multiplicity,
+            e.certificate, e.rational, e.torsion, e.val_fprime,
+            None if e.hensel is None else (e.hensel.val_f_r0, e.hensel.val_fprime_r0))
+
+
+def _transform(f, scale=1, reverse=False, dilate=1):
+    """c * f, x^deg f(1/x) and f(dilate * x) as sparse polynomials."""
+    deg = f.degree()
+    return SparsePoly.from_dict({
+        (deg - e if reverse else e): c * scale * Fraction(dilate) ** e for e, c in f.terms})
+
+
+def _metamorphic_cases(seed, count=50):
+    from oracle import random_sparse_poly
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice([3, 5, 7, 11])
+        yield p, random_sparse_poly(rng, max_terms=4, max_exp=40, coeff_bound=20), rng
+
+
+def test_scaled_polynomial_has_identical_report():
+    for p, f, rng in _metamorphic_cases(9001):
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12) * p ** rng.randint(0, 3),
+                     rng.choice([1, 2, p]))
+        ref, got = count_roots(f, p, OPTS), count_roots(_transform(f, scale=c), p, OPTS)
+        assert [_entry_key(e) for e in got.entries] == [_entry_key(e) for e in ref.entries]
+        assert [vars(u) for u in got.unresolved] == [vars(u) for u in ref.unresolved]
+
+
+def test_val_fprime_ignores_p_content_on_the_descent_path():
+    # x^3 - 8 descends through x -> x^3 at p = 3; v(f'(2)) = v(12) = 1
+    for text in ("x^3 - 8", "9*x^3 - 72"):
+        (entry,) = count_roots(parse_poly(text), 3, OPTS).entries
+        assert (entry.rational, entry.val_fprime) == (Fraction(2), 1), text
+
+
+def test_reciprocal_negates_valuations_and_inverts_labels():
+    for p, f, _ in _metamorphic_cases(9002):
+        ref, got = count_roots(f, p, OPTS), count_roots(_transform(f, reverse=True), p, OPTS)
+        if not (ref.fully_certified and got.fully_certified):
+            continue
+        assert sorted((-e.valuation, e.multiplicity) for e in ref.entries) == \
+            sorted((e.valuation, e.multiplicity) for e in got.entries), f.terms
+        assert {1 / x: mu for x, mu in _labels(ref).items()} == _labels(got), f.terms
+
+
+def test_dilation_shifts_valuations_and_scales_labels():
+    for p, f, rng in _metamorphic_cases(9003):
+        j = rng.randint(-2, 2)
+        ref = count_roots(f, p, OPTS)
+        got = count_roots(_transform(f, dilate=Fraction(p) ** j), p, OPTS)
+        if not (ref.fully_certified and got.fully_certified):
+            continue
+        assert sorted((e.valuation - j, e.multiplicity) for e in ref.entries) == \
+            sorted((e.valuation, e.multiplicity) for e in got.entries), f.terms
+        assert {x / Fraction(p) ** j: mu for x, mu in _labels(ref).items()} == \
+            _labels(got), f.terms
+
+
+def test_label_needs_more_digits_than_prec():
+    # (5^60 x - 7^50)(x - 2) at p = 3: 7^50/5^60 is fixed only by ~178 digits
+    f = _poly([(2, 5**60), (1, -(2 * 5**60 + 7**50)), (0, 2 * 7**50)])
+    report = count_roots(f, 3, OPTS)
+    assert report.fully_certified
+    assert _labels(report) == {Fraction(7**50, 5**60): 1, Fraction(2): 1}
+    assert all(e.certificate == HENSEL_SIMPLE for e in report.entries)
+
+
+@pytest.mark.parametrize("p, certificates", [
+    (3, {Fraction(2, 9): EXACT_RATIONAL, Fraction(3): HENSEL_SIMPLE}),
+    (5, {Fraction(2, 9): EXACT_RATIONAL, Fraction(3): EXACT_RATIONAL}),
+])
+def test_double_rational_root(p, certificates):
+    # (9x - 2)^2 (x - 3): 2/9 has valuation -2 at p = 3; at p = 5 the simple
+    # root 3 shares a residue class with the double root 2/9
+    report = count_roots(parse_poly("81*x^3 - 279*x^2 + 112*x - 12"), p, OPTS)
+    assert report.fully_certified
+    assert _labels(report) == {Fraction(2, 9): 2, Fraction(3): 1}
+    assert {e.rational: e.certificate for e in report.entries} == certificates
+    if p == 3:
+        assert {e.rational: e.valuation for e in report.entries} == {
+            Fraction(2, 9): -2, Fraction(3): 1}
