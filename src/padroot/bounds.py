@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapExceeded, PreconditionFailed, ScanWindowExceeded
-from .padic import int_valuation
+from .padic import int_valuation, is_prime
 
 D_T_MAX_M = 40
 D_T_MAX_T = 6
@@ -31,7 +31,7 @@ class FieldParams:
     f: int = 1
 
     def __post_init__(self):
-        if self.p < 2 or self.e < 1 or self.f < 1:
+        if not is_prime(self.p) or self.e < 1 or self.f < 1:
             raise PreconditionFailed(f"bad field parameters {self}")
 
     @property

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,9 +29,10 @@ from .bounds import (
     sparse_lower_bound,
     sparse_upper_bound,
 )
-from .errors import PadrootError, ParseError, SearchExhausted
+from .errors import PadrootError, ParseError, PreconditionFailed, SearchExhausted
 from .explore import SweepSpec, run_sweep
 from .extremal import BuildOptions, build_family
+from .padic import is_prime
 from .rootcount import CountOptions, count_roots, verify_upper_bounds
 from .sparsepoly import (
     format_poly,
@@ -176,6 +177,8 @@ def _cmd_count_roots(args, config: GlobalConfig) -> int:
 
 
 def _cmd_newton_polygon(args, config: GlobalConfig) -> int:
+    if not is_prime(args.p):
+        raise PreconditionFailed(f"p must be a prime, got {args.p}")
     f = _read_poly(args.poly)
     stripped, shift = f.strip_lowest()
     np_ = newton_polygon(stripped, args.p)
@@ -259,6 +262,7 @@ def _cmd_build_extremal(args, config: GlobalConfig) -> int:
     opts = BuildOptions(prec=config.prec, depth=config.depth,
                         alpha_window=args.alpha_window,
                         eps_window=args.eps_window)
+    config = replace(config, exponent_cap=opts.exponent_cap)  # the cap searched under
     try:
         out = build_family(args.t, args.q, opts)
     except SearchExhausted as exc:

@@ -22,7 +22,8 @@ from pathlib import Path
 
 from .bounds import FieldParams, sparse_upper_bound
 from .errors import CapExceeded, InternalError, PreconditionFailed
-from .rootcount import CountOptions, _is_prime, count_roots
+from .padic import is_prime
+from .rootcount import CountOptions, count_roots
 from .sparsepoly import SparsePoly, format_poly
 
 MAX_CANDIDATES = 200_000
@@ -87,8 +88,11 @@ def _canonical_exhaustive(coeffs, exps, p, modulus):
 
 def generate_candidates(spec: SweepSpec) -> list[SparsePoly]:
     """The full deterministic candidate list for a spec."""
-    if spec.p < 3 or not _is_prime(spec.p) or spec.t < 1:
+    if spec.p < 3 or not is_prime(spec.p) or spec.t < 1:
         raise PreconditionFailed("need an odd prime and t >= 1")
+    if spec.exponent_bound < spec.t:
+        raise PreconditionFailed(f"{spec.t} distinct exponents need a bound >= {spec.t}, "
+                                 f"got {spec.exponent_bound}")
     out = []
     if spec.coeff_mode == "random":
         rng = random.Random(spec.seed)

@@ -36,6 +36,42 @@ def int_valuation(n: int, p: int) -> int:
     return exp + int_valuation(n // power, p)
 
 
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2..37: a proof of primality below 3.18e23.
+
+    Above that, the least strong pseudoprime to all twelve bases,
+    318665857834031151167461 = 399165290221 * 798330580441, the test proves
+    nothing, so such n is refused rather than guessed about.
+    """
+    if n >= 318_665_857_834_031_151_167_461:
+        raise PreconditionFailed(f"cannot prove {n} prime: the primality test "
+                                 "is exact only below 318665857834031151167461")
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % q == 0:
+            return n == q
+        if q * q > n:
+            break
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def fraction_valuation(q: Fraction | int, p: int) -> int:
     q = Fraction(q)
     if q == 0:
@@ -302,64 +338,40 @@ def teichmuller(p: int, residue: int, prec: int = DEFAULT_PRECISION) -> PadicNum
     return PadicNum(p, "num", 0, x, prec)
 
 
-def hensel_lift(f, r0, p: int | None = None, prec: int = DEFAULT_PRECISION):
+def hensel_lift(f, r0: PadicNum, prec: int = DEFAULT_PRECISION):
     """Newton-lift an approximate root to a certified simple root.
 
     `f` must behave like a polynomial with p-integral coefficients: it
-    needs `eval_mod(x, p, k)`, `eval_exact(x)` and `derivative()`.  The
-    precondition v(f(r0)) > 2 v(f'(r0)) is verified before any iteration;
-    the returned root r satisfies f(r) = 0 mod p^prec and inherits
-    v(f'(r)) = v(f'(r0)), so it is a simple root.
+    needs `eval_mod(x, p, k)` and `derivative()`.  The start r0 is a
+    p-adic integer known to r0.abs_prec() digits.  The precondition
+    v(f(r0)) > 2 v(f'(r0)) is verified before any iteration; the returned
+    root r satisfies f(r) = 0 mod p^prec and inherits v(f'(r)) = v(f'(r0)),
+    so it is a simple root.
 
     Returns (root, certificate) where the certificate records r0 and the
-    two valuations (val_f may be math.inf for an exactly-zero evaluation).
+    two valuations.
     """
-    if isinstance(r0, PadicNum):
-        p = r0.p
-    if p is None:
-        raise PreconditionFailed("prime not determined by the inputs")
-
+    p = r0.p
+    if r0.is_exact_zero() or r0.is_bottom():
+        raise PreconditionFailed("approximate root must be a determined unit form")
+    if r0.val < 0:
+        raise PreconditionFailed("approximate root must lie in Z_p")
     fprime = f.derivative()
-    exact_start = not isinstance(r0, PadicNum)
-
-    if exact_start:
-        r0_exact = Fraction(r0)
-        if r0_exact != 0 and fraction_valuation(r0_exact, p) < 0:
-            raise PreconditionFailed("approximate root must lie in Z_p")
-        value = f.eval_exact(r0_exact)
-        deriv = fprime.eval_exact(r0_exact)
-        val_f = math.inf if value == 0 else fraction_valuation(value, p)
-        if deriv == 0:
-            raise PreconditionFailed("derivative vanishes exactly at r0")
-        val_fp = fraction_valuation(deriv, p)
-        r0_num = PadicNum.from_fraction(r0_exact, p, prec + 2 * max(val_fp, 0) + 4) \
-            if r0_exact else PadicNum.zero(p)
-        if value == 0:
-            cert = ApproxRootCertificate(r0_num, math.inf, val_fp)
-            root = PadicNum.from_fraction(r0_exact, p, prec) if r0_exact else PadicNum.zero(p)
-            return root, cert
+    probe = min(int(r0.abs_prec()), prec + 8)
+    fv = f.eval_mod(r0.residue(probe), p, probe)
+    dv = fprime.eval_mod(r0.residue(probe), p, probe)
+    if dv == 0:
+        raise PrecisionExhausted("cannot see v(f'(r0)) at this precision")
+    val_fp = int_valuation(dv, p)
+    if fv == 0:
+        # only a floor is visible; enough iff it already clears the bar
+        val_f = probe
+        if not val_f > 2 * val_fp:
+            raise PrecisionExhausted(
+                f"operand precision {probe} cannot verify the dominance inequality"
+            )
     else:
-        if r0.is_exact_zero() or r0.is_bottom():
-            raise PreconditionFailed("approximate root must be a determined unit form")
-        if r0.val < 0:
-            raise PreconditionFailed("approximate root must lie in Z_p")
-        r0_num = r0
-        probe = min(int(r0.abs_prec()), prec + 8)
-        fv = f.eval_mod(r0.residue(probe), p, probe)
-        dv = fprime.eval_mod(r0.residue(probe), p, probe)
-        if dv == 0:
-            raise PrecisionExhausted("cannot see v(f'(r0)) at this precision")
-        val_fp = int_valuation(dv, p)
-        if fv == 0:
-            # only a floor is visible; enough iff it already clears the bar
-            val_f = probe
-            if not val_f > 2 * val_fp:
-                raise PrecisionExhausted(
-                    f"operand precision {probe} cannot verify the dominance inequality"
-                )
-        else:
-            val_f = int_valuation(fv, p)
-
+        val_f = int_valuation(fv, p)
     if not val_f > 2 * val_fp:
         raise PreconditionFailed(
             f"Hensel precondition fails: v(f(r0))={val_f} <= 2*v(f'(r0))={2 * val_fp}"
@@ -370,11 +382,7 @@ def hensel_lift(f, r0, p: int | None = None, prec: int = DEFAULT_PRECISION):
     # target precision from f itself regardless of r0's own precision.
     work = prec + 2 * val_fp + 4
     modulus = p**work
-    if r0_num.kind == "num":
-        avail = min(int(r0_num.abs_prec()), work)
-        r = r0_num.residue(avail) % modulus
-    else:
-        r = 0
+    r = r0.residue(min(int(r0.abs_prec()), work)) % modulus
 
     for _ in range(2 * work.bit_length() + 8):
         fv = f.eval_mod(r, p, work)
@@ -391,7 +399,7 @@ def hensel_lift(f, r0, p: int | None = None, prec: int = DEFAULT_PRECISION):
     else:
         raise InternalError("Newton iteration failed to converge")
 
-    cert = ApproxRootCertificate(r0_num, val_f, val_fp)
+    cert = ApproxRootCertificate(r0, val_f, val_fp)
     root_val = int_valuation(r, p) if r else 0
     if r == 0:
         root = PadicNum.zero(p)

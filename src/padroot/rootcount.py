@@ -1,16 +1,17 @@
 """Certified counting of roots in Q_p^*, with multiplicities.
 
-The counter walks the Newton polygon segment by segment.  A segment whose
-endpoints are consecutive support points and whose width is prime to p is
-counted through the associated binomial (all such roots are simple and
-Hensel-certified).  Every other segment goes through residue refinement:
-reduce the rescaled polynomial mod p, Hensel-lift simple residue roots, and
-recurse into residue classes holding multiple ones.  Before recursing, the
-class is cleared of exactly-known roots -- torsion points, certified by
-cyclotomic divisibility of the exponent-folded polynomial, and rational
-points, certified by exact evaluation -- whose multiplicities are therefore
-exact; the recursion continues on the deflated local polynomial so roots
-sharing the class are still found.  Rational points are never searched for
+The counter walks the Newton polygon segment by segment, and counts every
+segment of integral slope the same way, by residue refinement: reduce the
+rescaled polynomial mod p, Hensel-lift simple residue roots, and recurse
+into residue classes holding multiple ones.  Before recursing, the class is
+cleared of exactly-known roots -- torsion points, certified by cyclotomic
+divisibility of the exponent-folded polynomial, and rational points,
+certified by exact evaluation -- whose multiplicities are therefore exact;
+the recursion continues on the deflated local polynomial so roots sharing
+the class are still found.  A segment joining adjacent support points needs
+no path of its own: its reduction is a binomial, so the refinement finds
+the gcd(p-1, width) solutions of one power congruence, or none, all simple
+when p does not divide the width.  Rational points are never searched for
 by factoring: a rational root's digits are the digits of a p-adic root the
 counter certifies anyway, and p-adic rational reconstruction turns enough
 of them back into the fraction.  Whatever survives the depth budget is
@@ -30,17 +31,17 @@ from .errors import InternalError, PrecisionExhausted, PreconditionFailed
 from .padic import (
     ApproxRootCertificate,
     PadicNum,
-    fraction_valuation,
     hensel_lift,
     int_valuation,
+    is_prime,
     teichmuller,
 )
 from .sparsepoly import (
     SparsePoly,
-    Segment,
     newton_polygon,
     reduce_exponents_mod_torsion,
     scale_substitute,
+    scaled_valuation,
     taylor_shift_truncate,
 )
 
@@ -142,42 +143,6 @@ class BoundCheck:
 
 # ---------------------------------------------------------------------------
 # small integer helpers
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the bases 2..37: a proof of primality below 3.18e23.
-
-    Above that, the least strong pseudoprime to all twelve bases,
-    318665857834031151167461 = 399165290221 * 798330580441, the test proves
-    nothing, so such n is refused rather than guessed about.
-    """
-    if n >= 318_665_857_834_031_151_167_461:
-        raise PreconditionFailed(f"cannot prove {n} prime: the primality test "
-                                 "is exact only below 318665857834031151167461")
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-        if q * q > n:
-            break
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _comb_mod_p(n: int, k: int, p: int) -> int:
@@ -395,13 +360,6 @@ def torsion_multiplicity(g: SparsePoly, p: int, d: int) -> int:
 # dense local arithmetic (everything degree < prec, coefficients mod p^M)
 
 
-def _dense_eval(h: list[int], y: int, mod: int) -> int:
-    total = 0
-    for c in reversed(h):
-        total = (total * y + c) % mod
-    return total
-
-
 def _dense_normalize(h: list[int], p: int, m_exp: int):
     """Divide out the minimum coefficient valuation; None if all vanish."""
     vals = [int_valuation(c, p) for c in h if c]
@@ -441,32 +399,16 @@ def _fp_order(hbar: list[int], c: int, p: int) -> int:
     return order
 
 
-def _dense_shift(h: list[int], c: int, p: int, m_exp: int) -> list[int]:
-    """Coefficients of h(c + p*z) modulo p^m_exp."""
-    mod = p**m_exp
-    out = [0] * len(h)
-    for k, coeff in enumerate(h):
-        if not coeff:
-            continue
-        power = 1  # c^(k-j) built from the top down
-        for j in range(k, -1, -1):
-            out[j] = (out[j] + coeff * math.comb(k, j) % mod * power) % mod
-            power = power * c % mod
-    for j in range(len(out)):
-        out[j] = out[j] * pow(p, j, mod) % mod
-    return out
-
-
 def _dense_newton(h: list[int], c: int, p: int, m_exp: int) -> int:
     """Lift a simple residue root of h to a root modulo p^m_exp."""
     mod = p**m_exp
     hp = [k * coeff % mod for k, coeff in enumerate(h)][1:]
     y = c % p
     for _ in range(2 * m_exp.bit_length() + 6):
-        fy = _dense_eval(h, y, mod)
+        fy = _divide_linear(h, y, mod)[1]
         if fy == 0:
             break
-        dy = _dense_eval(hp, y, mod)
+        dy = _divide_linear(hp, y, mod)[1]
         if dy % p == 0:
             raise InternalError("simple residue root lost its simplicity")
         y = (y - fy * pow(dy, -1, mod)) % mod
@@ -501,7 +443,7 @@ def _class_poly(g: SparsePoly, p: int, r: int, n: int, exact_points):
     """
     m_exp = n - 1
     mod = p**m_exp
-    h = [c % mod for c in taylor_shift_truncate(g, r, p, n)]
+    h = [c % mod for c in taylor_shift_truncate(g.residues(p, n), r, p, n)]
     for point, mu, _ in exact_points:
         ystar = ((_point_mod(point, p, n) - r) // p) % mod
         h = _deflate(h, ystar, mu, p, m_exp)
@@ -519,78 +461,33 @@ def _torsion_rational(order: int, p: int, m: int) -> Fraction | None:
 # the counter
 
 
-def _joins_adjacent_terms(f: SparsePoly, seg: Segment) -> bool:
-    exps = f.exponents()
-    i = exps.index(seg.start[0])
-    return i + 1 < len(exps) and exps[i + 1] == seg.end[0]
+def _hensel_entry(g: SparsePoly, p: int, start: int, known: int, m: int, nu: int,
+                  prec: int, heights: _Heights | None = None) -> RootEntry:
+    """The entry of the simple root p^m * u, u the root of g that `hensel_lift`
+    reaches from `start`, a unit residue known to `known` digits.
 
-
-def segment_root_count(f: SparsePoly, p: int, seg: Segment, prec: int = 40):
-    """Count roots of f on one binomial-dominated Newton-polygon segment.
-
-    Requires the segment to join consecutive support points of f.  Returns
-    None when p divides the segment width (the binomial correspondence
-    breaks); otherwise returns (count, entries) where every root is simple
-    and carries a Hensel certificate.  The count is gcd(p-1, width) when
-    the slope is integral and the relevant first digit is a width-th power
-    in F_p^*, and zero otherwise; it never exceeds p-1.
+    Evaluation stays modular, so lacunary exponents in the millions never
+    appear in exact powers.  With heights, u is labelled when rational: a
+    simple residue class holds exactly one root, so a rational one is this
+    one.  The label may need more digits than the report keeps; the lift to
+    them, cut back to prec digits, is the root lifted to prec.
     """
-    if not _joins_adjacent_terms(f, seg):
-        raise PreconditionFailed("segment does not join consecutive support points")
-    width = seg.length
-    if width % p == 0:
-        return None
-    mval = seg.root_valuation()
-    if mval.denominator != 1:
-        return 0, []
-    m = int(mval)
-    g = scale_substitute(f, p, m)
-    ratio = -g.coefficient(seg.start[0]) / g.coefficient(seg.end[0])
-    digit = ratio.numerator * pow(ratio.denominator, -1, p) % p
-    if digit == 0:
-        raise InternalError("segment endpoint coefficient not a unit")
-    gcd = math.gcd(p - 1, width)
-    if pow(digit, (p - 1) // gcd, p) != 1:
-        return 0, []
-    residues = [r for r in range(1, p) if pow(r, width, p) == digit]
-    if len(residues) != gcd:
-        raise InternalError("unit residue count disagrees with gcd formula")
-    nu, heights = _scale_valuation_shift(f, p, m), _heights(f, p, m)
-    return gcd, [_lift_unit_root(g, p, r, m, nu, prec, heights) for r in residues]
-
-
-def _scale_valuation_shift(f: SparsePoly, p: int, m: int) -> int:
-    return min(fraction_valuation(c, p) + m * e for e, c in f.terms)
-
-
-def _lift_unit_root(g: SparsePoly, p: int, r0: int, m: int, nu: int, prec: int,
-                    heights: _Heights | None) -> RootEntry:
-    # start from the residue as a capped element: evaluation stays modular,
-    # so lacunary exponents in the millions never appear in exact powers
-    start = PadicNum(p, "num", 0, r0, prec + 8)
-    # the label may need more digits than the report keeps; the lift from
-    # the same start, cut back to prec digits, is the root lifted to prec
     lift_to = max(prec, heights.digits) if heights else prec
-    root, cert = hensel_lift(g, start, p, prec=lift_to)
-    entry = _hensel_entry(PadicNum(p, "num", 0, root.unit_mod(prec), prec), cert, p, m, nu)
-    if heights:
-        # a simple residue class holds exactly one root: if rational, this one
-        unit = _rational_label(g, p, heights, root.unit_mod(lift_to), lift_to)
-        if unit is not None:
-            entry.rational = unit * Fraction(p) ** m
-    return entry
-
-
-def _hensel_entry(root: PadicNum, cert, p: int, m: int, nu: int) -> RootEntry:
-    """The entry of the simple root p^m * root that `cert` certifies."""
-    return RootEntry(
-        value=root * Fraction(p) ** m if m else root,
+    root, cert = hensel_lift(g, PadicNum(p, "num", 0, start, known), prec=lift_to)
+    value = PadicNum(p, "num", 0, root.unit_mod(prec), prec)
+    entry = RootEntry(
+        value=value * Fraction(p) ** m if m else value,
         valuation=m,
         multiplicity=1,
         certificate=HENSEL_SIMPLE,
         val_fprime=nu - m + cert.val_fprime_r0,
         hensel=cert,
     )
+    if heights:
+        unit = _rational_label(g, p, heights, root.unit_mod(lift_to), lift_to)
+        if unit is not None:
+            entry.rational = unit * Fraction(p) ** m
+    return entry
 
 
 def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> RootReport:
@@ -604,7 +501,7 @@ def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> Root
     an unresolved cluster with an upper bound.
     """
     opts = opts or CountOptions()
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not is_prime(p):
         raise PreconditionFailed(f"p must be an odd prime, got {p}")
     if f.is_zero():
         raise PreconditionFailed("cannot count roots of the zero polynomial")
@@ -623,13 +520,7 @@ def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> Root
         mval = seg.root_valuation()
         if mval.denominator != 1:
             continue
-        m = int(mval)
-        if _joins_adjacent_terms(normalized, seg):
-            res = segment_root_count(normalized, p, seg, prec=opts.prec)
-            if res is not None:
-                report.entries.extend(res[1])
-                continue
-        entries, clusters = _unit_roots_general(normalized, p, m, opts)
+        entries, clusters = segment_root_count(normalized, p, int(mval), opts)
         report.entries.extend(entries)
         report.unresolved.extend(clusters)
 
@@ -640,13 +531,7 @@ def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> Root
 
 def _reduce_mod_p(g: SparsePoly, p: int) -> dict[int, int]:
     """The reduction of g mod p as {exponent: coefficient}, monomial factor stripped."""
-    support: dict[int, int] = {}
-    for e, c in g.terms:
-        if c.denominator % p == 0:
-            raise PreconditionFailed("coefficient with negative valuation")
-        cm = c.numerator * pow(c.denominator, -1, p) % p
-        if cm:
-            support[e] = cm
+    support = {e: c for e, c in g.residues(p, 1) if c}
     if not support:
         raise InternalError("residue polynomial vanished; normalize first")
     low = min(support)
@@ -710,20 +595,30 @@ def _residue_order(support: dict[int, int], p: int, r: int) -> int:
             raise InternalError("residue order exceeded the degree")
 
 
-def _unit_roots_general(f0: SparsePoly, p: int, m: int, opts: CountOptions):
-    """Roots of f0 with valuation m, found by residue refinement at that scale."""
+def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
+    """Roots of f0 with valuation m, found by residue refinement at that scale.
+
+    f0 has a nonzero constant term and minimum coefficient valuation 0, and
+    m is the integral root valuation of one of its Newton-polygon segments.
+    The zeros of the reduction of the rescaled polynomial g are the first
+    digits of the roots: simple ones are Hensel-lifted, multiple ones are
+    cleared of their exact points and refined.  Returns (entries, clusters).
+    """
     g = scale_substitute(f0, p, m)
-    nu = _scale_valuation_shift(f0, p, m)
+    support = _reduce_mod_p(g, p)
+    zeros = _unit_zeros(support, p)
+    if not zeros:
+        return [], []  # no root has valuation m: skip the set-up below
+    nu = scaled_valuation(f0, p, m)
     heights = _heights(f0, p, m)
     n = opts.prec
     entries: list[RootEntry] = []
     clusters: list[UnresolvedCluster] = []
-    support = _reduce_mod_p(g, p)
 
-    for r, i in _unit_zeros(support, p):
+    for r, i in zeros:
         ord0 = _residue_order(support, p, r)
         if ord0 == 1:
-            entries.append(_lift_unit_root(g, p, r, m, nu, n, heights))
+            entries.append(_hensel_entry(g, p, r, n + 8, m, nu, n, heights))
             continue
 
         # exactly representable roots of this residue class, as
@@ -741,8 +636,11 @@ def _unit_roots_general(f0: SparsePoly, p: int, m: int, opts: CountOptions):
         for point, mu, order in exact_points:
             entries.append(_exact_entry(g, p, point, mu, order, r, m, nu, n))
 
-        # deflate the exact roots out of the local picture and keep looking
-        remaining = max(ord0 - sum(mu for _, mu, _ in exact_points), 0)
+        # the class holds exactly ord0 roots over C_p; when the exact points
+        # do not account for all of them, deflate those and keep looking
+        remaining = ord0 - sum(mu for _, mu, _ in exact_points)
+        if remaining <= 0:
+            continue
         try:
             h, m_exp = _class_poly(g, p, r, n, exact_points)
             sub_entries, sub_clusters = _local_count(
@@ -750,9 +648,8 @@ def _unit_roots_general(f0: SparsePoly, p: int, m: int, opts: CountOptions):
                 inherited_bound=remaining,
             )
         except PrecisionExhausted:
-            sub_entries, sub_clusters = [], []
-            if remaining:
-                sub_clusters = [UnresolvedCluster(m, r, 1, remaining, 0, "precision")]
+            sub_entries = []
+            sub_clusters = [UnresolvedCluster(m, r, 1, remaining, 0, "precision")]
         entries.extend(sub_entries)
         clusters.extend(sub_clusters)
     return entries, clusters
@@ -797,10 +694,9 @@ def _local_count(h, p, m_exp, depth, center, level, g, m, nu, opts, inherited_bo
         if k == 1:
             y = _dense_newton(normalized, digit, p, new_m)
             x_res = (center + p**level * y) % p ** (level + new_m)
-            entry = _polish_against_sparse(g, p, x_res, level + new_m, m, nu, opts)
-            if entry is not None:
-                entries.append(entry)
-            else:
+            try:
+                entries.append(_hensel_entry(g, p, x_res, level + new_m, m, nu, opts.prec))
+            except (PreconditionFailed, PrecisionExhausted):
                 clusters.append(UnresolvedCluster(m, new_center, level + 1, 1,
                                                   opts.depth - depth, "precision"))
             continue
@@ -808,24 +704,12 @@ def _local_count(h, p, m_exp, depth, center, level, g, m, nu, opts, inherited_bo
             clusters.append(UnresolvedCluster(m, new_center, level + 1, k,
                                               opts.depth, "depth"))
             continue
-        shifted = _dense_shift(normalized, digit, p, new_m)
+        shifted = taylor_shift_truncate(enumerate(normalized), digit, p, new_m)
         sub_e, sub_c = _local_count(shifted, p, new_m, depth - 1, new_center,
                                     level + 1, g, m, nu, opts, inherited_bound=k)
         entries.extend(sub_e)
         clusters.extend(sub_c)
     return entries, clusters
-
-
-def _polish_against_sparse(g, p, x_res, known, m, nu, opts) -> RootEntry | None:
-    """Final certificate: Hensel-verify the refined unit root against g itself."""
-    if x_res % p == 0:
-        raise InternalError("unit-coordinate root candidate is not a unit")
-    approx = PadicNum(p, "num", 0, x_res, known)
-    try:
-        root, cert = hensel_lift(g, approx, p, prec=opts.prec)
-    except (PreconditionFailed, PrecisionExhausted):
-        return None
-    return _hensel_entry(root, cert, p, m, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +724,7 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
             continue
         x_val = entry.valuation // p
         g_scaled = scale_substitute(f_desc, p, x_val)
-        nu = _scale_valuation_shift(f_desc, p, x_val)
+        nu = scaled_valuation(f_desc, p, x_val)
         if entry.torsion is not None:
             # the p-th root of a torsion point is torsion of the same order
             d, digit = entry.torsion
@@ -869,11 +753,10 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
                 x_val, root_res % p**2, 2, entry.multiplicity, 0,
                 "pth-root of a multiple root"))
             continue
-        entryf = _polish_against_sparse(g_scaled, p, root_res % p**(avail - 2),
-                                        avail - 2, x_val, nu, opts)
-        if entryf is not None:
-            report.entries.append(entryf)
-        else:
+        try:
+            report.entries.append(_hensel_entry(g_scaled, p, root_res % p**(avail - 2),
+                                                avail - 2, x_val, nu, n))
+        except (PreconditionFailed, PrecisionExhausted):
             report.unresolved.append(UnresolvedCluster(
                 x_val, root_res % p**2, 2, 1, 0, "precision"))
     for cluster in inner.unresolved:

@@ -15,14 +15,8 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import (
-    DuplicateExponent,
-    InternalError,
-    ParseError,
-    PrecisionExhausted,
-    PreconditionFailed,
-)
-from .padic import PadicNum, fraction_valuation
+from .errors import DuplicateExponent, InternalError, ParseError, PreconditionFailed
+from .padic import fraction_valuation
 
 
 class SparsePoly:
@@ -43,7 +37,7 @@ class SparsePoly:
             if coeff:
                 cleaned.append((exp, coeff))
         self.terms = tuple(cleaned)
-        self._residues = {}  # modulus -> coefficients reduced mod it (eval_mod)
+        self._residues = {}  # modulus -> `residues` at that modulus
 
     @classmethod
     def from_dict(cls, data: dict[int, Fraction]) -> "SparsePoly":
@@ -92,19 +86,26 @@ class SparsePoly:
             total += c * x**e
         return total
 
-    def eval_mod(self, x: int, p: int, k: int) -> int:
-        """Value at the integer x modulo p^k; coefficients must be p-integral."""
+    def residues(self, p: int, k: int) -> list[tuple[int, int]]:
+        """(exponent, coefficient mod p^k) pairs; coefficients must be p-integral.
+
+        Reduced once per modulus: Newton steps evaluate at one modulus, and
+        rescaled coefficients can have millions of bits.
+        """
         modulus = p**k
         if modulus not in self._residues:
-            # reduced once per modulus: Newton steps evaluate at one modulus,
-            # and rescaled coefficients can have millions of bits
             if any(c.denominator % p == 0 for _, c in self.terms):
                 raise PreconditionFailed("coefficient with negative valuation")
             self._residues[modulus] = [
                 (e, c.numerator * pow(c.denominator, -1, modulus) % modulus)
                 for e, c in self.terms]
+        return self._residues[modulus]
+
+    def eval_mod(self, x: int, p: int, k: int) -> int:
+        """Value at the integer x modulo p^k; coefficients must be p-integral."""
+        modulus = p**k
         total = 0
-        for e, cm in self._residues[modulus]:
+        for e, cm in self.residues(p, k):
             total = (total + cm * pow(x, e, modulus)) % modulus
         return total
 
@@ -143,10 +144,17 @@ def scale_substitute(f: SparsePoly, p: int, m: int) -> SparsePoly:
     """
     if f.is_zero():
         return f
-    # valuations computed structurally: v(c p^(m e)) = v(c) + m e, so the
-    # huge intermediate powers are never themselves scanned for factors
-    low = min(fraction_valuation(c, p) + m * e for e, c in f.terms)
+    low = scaled_valuation(f, p, m)
     return SparsePoly((e, c * Fraction(p) ** (m * e - low)) for e, c in f.terms)
+
+
+def scaled_valuation(f: SparsePoly, p: int, m: int) -> int:
+    """The minimum coefficient valuation of f(p^m x), divided out by `scale_substitute`.
+
+    Computed structurally: v(c p^(m e)) = v(c) + m e, so the huge
+    intermediate powers are never themselves scanned for factors.
+    """
+    return min(fraction_valuation(c, p) + m * e for e, c in f.terms)
 
 
 def reduce_exponents_mod_torsion(f: SparsePoly, p: int) -> SparsePoly:
@@ -163,39 +171,26 @@ def reduce_exponents_mod_torsion(f: SparsePoly, p: int) -> SparsePoly:
     return SparsePoly.from_dict(data)
 
 
-def taylor_shift_truncate(f: SparsePoly, r, p: int, n: int) -> list[int]:
-    """Dense coefficients of f(r + p*y) modulo p^n, truncated where forced zero.
+def taylor_shift_truncate(pairs, r: int, p: int, n: int) -> list[int]:
+    """Dense coefficients of h(r + p*y) modulo p^n, truncated where forced zero.
 
+    h is given by (exponent, integer coefficient) pairs in increasing
+    exponent order -- `SparsePoly.residues` or `enumerate` of a dense list.
     Coefficient k carries a factor p^k, so only k < n can contribute a unit;
-    the list has min(deg f, n-1) + 1 entries.  Binomials are exact integers;
-    powers of r are computed modulo p^n.
+    the list has min(deg h, n-1) + 1 entries.  Binomials are exact integers;
+    the powers r^(e-k) are built from the top down, one `pow` per term.
     """
-    if isinstance(r, PadicNum):
-        if r.abs_prec() < n:
-            raise PrecisionExhausted(
-                f"shift point known mod p^{r.abs_prec()}, need p^{n}"
-            )
-        if r.val_floor() < 0:
-            raise PreconditionFailed("shift point must lie in Z_p")
-        r_res = r.residue(n)
-    else:
-        r_frac = Fraction(r)
-        if r_frac and fraction_valuation(r_frac, p) < 0:
-            raise PreconditionFailed("shift point must lie in Z_p")
-        r_res = r_frac.numerator * pow(r_frac.denominator, -1, p**n) % p**n
-
+    pairs = list(pairs)
     modulus = p**n
-    top = min(f.degree(), n - 1)
-    if top < 0:
-        return []
+    top = min(pairs[-1][0], n - 1) if pairs else -1
     out = [0] * (top + 1)
-    for e, c in f.terms:
-        if c.denominator % p == 0:
-            raise PreconditionFailed("coefficient with negative valuation")
-        cm = c.numerator * pow(c.denominator, -1, modulus) % modulus
-        for k in range(0, min(e, top) + 1):
-            contrib = cm * math.comb(e, k) % modulus * pow(r_res, e - k, modulus)
-            out[k] = (out[k] + contrib) % modulus
+    for e, c in pairs:
+        if not c:
+            continue
+        power = pow(r, e - min(e, top), modulus)
+        for k in range(min(e, top), -1, -1):
+            out[k] = (out[k] + c * math.comb(e, k) % modulus * power) % modulus
+            power = power * r % modulus
     for k in range(1, top + 1):
         out[k] = out[k] * pow(p, k, modulus) % modulus
     return out

@@ -193,3 +193,38 @@ def test_unprovable_prime_exits_1(capsys, command):
     code, _, err = run(capsys, command + ["--p", "318665857834031151167461"])
     assert code == EXIT_USAGE
     assert "cannot prove" in err
+
+
+def test_build_extremal_header_echoes_the_build_cap(capsys):
+    # build_family searches under BuildOptions.exponent_cap, not count-roots' cap
+    from padroot.extremal import BuildOptions
+
+    code, out, _ = run(capsys, ["--format", "structured", "build-extremal",
+                                "--t", "2", "--q", "3"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["config"]["exponent_cap"] == BuildOptions().exponent_cap == 10**8
+    assert max(e for e, _ in doc["poly"]["terms"]) <= doc["config"]["exponent_cap"]
+
+
+def test_exactly_accounted_class_is_not_a_cluster(capsys):
+    # 1/2 is a double root and the class 3 mod 5 holds exactly two roots:
+    # at 8 digits nothing is left to refine, so no zero-bound cluster
+    code, out, err = run(capsys, ["--prec", "8", "count-roots", "--p", "5",
+                                  "--poly", "4*x^2-4*x+1"])
+    assert code == EXIT_OK, err
+    assert "unresolved" not in out
+    assert "1/2 [mult 2, ExactRational]" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["newton-polygon", "--p", "0", "--poly", "x^2-1"],
+    ["newton-polygon", "--p", "1", "--poly", "x^2-1"],
+    ["newton-polygon", "--p", "4", "--poly", "x^2-1"],
+    ["bounds", "--t", "2", "--p", "4"],
+    ["search", "--p", "5", "--t", "3", "--max-exp", "2"],
+], ids=["np-p0", "np-p1", "np-p4", "bounds-p4", "search-max-exp"])
+def test_bad_prime_or_exponent_bound_exits_1(capsys, command):
+    code, out, err = run(capsys, command)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ")

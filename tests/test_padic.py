@@ -114,11 +114,16 @@ def brute_root_mod(f, p, k, residue_of):
     return hits[0]
 
 
+def start(residue, p, known=8):
+    """A Hensel start: the integer residue, known to `known` digits."""
+    return PadicNum(p, "num", 0, residue, known)
+
+
 def test_hensel_sqrt2_mod7():
     f = parse_poly("x^2 - 2")
     expected = brute_root_mod(f, 7, 3, 3)
     assert expected == 108
-    root, cert = hensel_lift(f, 3, 7, prec=3)
+    root, cert = hensel_lift(f, start(3, 7), prec=3)
     assert root.residue(3) == 108
     assert cert.val_f_r0 == 1 and cert.val_fprime_r0 == 0
 
@@ -126,20 +131,13 @@ def test_hensel_sqrt2_mod7():
 def test_hensel_precondition_violation():
     f = parse_poly("x^2 - 2")
     with pytest.raises(PreconditionFailed):
-        hensel_lift(f, 1, 5, prec=3)
-
-
-def test_hensel_exact_root_input():
-    f = parse_poly("x - 4")
-    root, cert = hensel_lift(f, 4, 7, prec=5)
-    assert root.residue(5) == 4
-    assert cert.val_f_r0 == math.inf
+        hensel_lift(f, start(1, 5), prec=3)
 
 
 def test_hensel_derivative_valuation_stable():
     # v(f'(r)) = v(f'(r0)) after lifting
     f = parse_poly("x^3 - 10*x + 12")  # root near 2 mod 7: 8-20+12=0 exactly
-    root, cert = hensel_lift(f, 2, 7, prec=12)
+    root, cert = hensel_lift(f, start(2, 7), prec=12)
     fp = f.derivative()
     v_at_root = fp.eval_mod(root.residue(12), 7, 12)
     from padroot.padic import int_valuation
@@ -147,9 +145,19 @@ def test_hensel_derivative_valuation_stable():
     assert int_valuation(v_at_root, 7) == cert.val_fprime_r0
 
 
+def test_hensel_derivative_valuation_one():
+    # (x-1)(x-6) at p = 5: each root has v(f') = 1, so r0 needs 3 digits
+    f = parse_poly("x^2 - 7*x + 6")
+    root, cert = hensel_lift(f, start(1, 5, known=3), prec=10)
+    assert root.residue(10) == 1
+    assert (cert.val_f_r0, cert.val_fprime_r0) == (3, 1)
+    with pytest.raises(PrecisionExhausted):
+        hensel_lift(f, start(1, 5, known=2), prec=10)
+
+
 def test_hensel_high_precision_root_squares_back():
     f = parse_poly("x^2 - 2")
-    root, _ = hensel_lift(f, 3, 7, prec=30)
+    root, _ = hensel_lift(f, start(3, 7), prec=30)
     r = root.residue(30)
     assert pow(r, 2, 7**30) == 2
 

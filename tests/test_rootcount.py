@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from padroot.errors import PreconditionFailed
+from padroot.padic import is_prime
 from padroot.rootcount import (
     EXACT_RATIONAL,
     EXACT_TORSION,
     HENSEL_SIMPLE,
     CountOptions,
     _heights,
-    _is_prime,
     _reduce_mod_p,
     _unit_zeros,
     count_roots,
@@ -27,42 +27,52 @@ from oracle import oracle_root_classes, report_classes
 OPTS = CountOptions(prec=40, depth=8)
 
 
-def slope_segment(f, p, slope):
-    np_ = newton_polygon(f, p)
-    for seg in np_.segments:
-        if seg.slope == slope:
-            return seg
-    raise AssertionError(f"no segment of slope {slope}")
-
-
 # -- segment counting -------------------------------------------------------
 
 
 def test_segment_binomial_square():
-    f = parse_poly("x^2 - 1")
-    count, entries = segment_root_count(f, 5, slope_segment(f, 5, 0))
-    assert count == 2
+    entries, clusters = segment_root_count(parse_poly("x^2 - 1"), 5, 0, OPTS)
+    assert clusters == []
     residues = sorted(e.value.unit_mod(1) for e in entries)
     assert residues == [1, 4]
     assert all(e.certificate == HENSEL_SIMPLE and e.multiplicity == 1 for e in entries)
 
 
 def test_segment_nonresidue():
-    f = parse_poly("x^2 - 2")
-    count, entries = segment_root_count(f, 5, slope_segment(f, 5, 0))
-    assert count == 0 and entries == []
+    assert segment_root_count(parse_poly("x^2 - 2"), 5, 0, OPTS) == ([], [])
 
 
-def test_segment_not_applicable():
-    f = parse_poly("x^18 - 1")
-    res = segment_root_count(f, 3, slope_segment(f, 3, 0))
-    assert res is None
-
-
-def test_segment_requires_adjacent_support():
-    f = parse_poly("x^4 - 4*x^2 + 4")
-    with pytest.raises(PreconditionFailed):
-        segment_root_count(f, 7, slope_segment(f, 7, 0))
+def test_segment_binomial_formula():
+    # a segment joining adjacent support points, of width w prime to p,
+    # reduces to c_s x^s + c_e x^e after rescaling: gcd(p-1, w) simple roots
+    # when -c_s/c_e is a w-th power residue, none otherwise
+    rng = random.Random(707)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        p = rng.choice([3, 5, 7, 11, 13])
+        exps = sorted(rng.sample(range(1, 60), rng.randint(1, 3)))
+        f = SparsePoly.from_dict(
+            {e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 20) * p ** rng.randint(0, 3))
+             for e in [0] + exps})
+        f0 = scale_substitute(f, p, 0)
+        support = f0.exponents()
+        for seg in newton_polygon(f0, p).segments:
+            m, (s, _), (e, _) = seg.root_valuation(), seg.start, seg.end
+            w = e - s
+            if m.denominator != 1 or not w % p or support.index(e) != support.index(s) + 1:
+                continue
+            g = scale_substitute(f0, p, int(m))
+            digit = -g.coefficient(s) / g.coefficient(e)
+            digit = digit.numerator * pow(digit.denominator, -1, p) % p
+            residues = [r for r in range(1, p) if pow(r, w, p) == digit]
+            seen[bool(residues)] += 1
+            assert len(residues) in (0, math.gcd(p - 1, w))
+            entries, clusters = segment_root_count(f0, p, int(m), OPTS)
+            assert clusters == []
+            assert sorted(x.value.unit_mod(1) for x in entries) == residues
+            assert all(x.certificate == HENSEL_SIMPLE and x.multiplicity == 1
+                       and x.valuation == m for x in entries)
+    assert seen[True] > 20 and seen[False] > 10
 
 
 # -- exact certificates -----------------------------------------------------
@@ -267,7 +277,7 @@ def _check_scan(terms, p):
 
 def test_unit_zeros_match_brute_force():
     rng = random.Random(2013)
-    primes = [3, 5, 7, 11, 13] + [q for q in range(17, 20_000) if _is_prime(q)]
+    primes = [3, 5, 7, 11, 13] + [q for q in range(17, 20_000) if is_prime(q)]
     for case in range(40):
         p = primes[case] if case < 5 else rng.choice(primes)
         nterms = rng.randint(2, 4)

@@ -169,47 +169,54 @@ def test_scale_substitute_slope_shift():
         ]
 
 
+def test_residues_once_per_modulus():
+    f = parse_poly("1/2*x^3 - 3")
+    assert f.residues(5, 2) == [(0, 22), (3, 13)]
+    assert f.residues(5, 2) is f.residues(5, 2)
+    with pytest.raises(PreconditionFailed):
+        parse_poly("1/5*x - 1").residues(5, 1)
+
+
 def test_taylor_shift_example():
     f = parse_poly("x^2 - 1")
-    assert taylor_shift_truncate(f, 1, 3, 5) == [0, 6, 9]
+    assert taylor_shift_truncate(f.residues(3, 5), 1, 3, 5) == [0, 6, 9]
 
 
 def test_taylor_shift_linear_exact_root():
     f = parse_poly("x - 4")
-    assert taylor_shift_truncate(f, 4, 5, 3) == [0, 5]
+    assert taylor_shift_truncate(f.residues(5, 3), 4, 5, 3) == [0, 5]
 
 
 def test_taylor_shift_at_teichmuller_point():
     xi = teichmuller(5, 2, 6)
     f = parse_poly("x^4 - 1")
-    h = taylor_shift_truncate(f, xi, 5, 6)
+    h = taylor_shift_truncate(f.residues(5, 6), xi.residue(6), 5, 6)
     assert h[0] % 5**6 == 0
 
 
 def test_taylor_shift_consistency_random():
+    # sparse inputs through `residues`, dense ones through `enumerate`
     rng = random.Random(14)
-    for _ in range(60):
-        data = {0: Fraction(rng.randint(-20, 20) or 1)}
-        for _ in range(rng.randint(1, 3)):
-            data[rng.randint(1, 25)] = Fraction(rng.randint(-20, 20) or 3)
-        f = SparsePoly.from_dict(data)
+    for case in range(120):
         p = rng.choice([3, 5, 7])
         n = rng.randint(3, 8)
-        r = rng.randint(0, p**n - 1)
-        h = taylor_shift_truncate(f, r, p, n)
-        y0 = rng.randint(0, p**n - 1)
-        direct = f.eval_mod((r + p * y0) % p**n, p, n)
-        via_shift = sum(h[k] * pow(y0, k, p**n) for k in range(len(h))) % p**n
+        modulus = p**n
+        if case % 2:
+            dense = [rng.randrange(modulus) for _ in range(rng.randint(1, n + 3))]
+            pairs = list(enumerate(dense))
+        else:
+            data = {0: Fraction(rng.randint(-20, 20) or 1)}
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randint(1, 25)] = Fraction(rng.randint(-20, 20) or 3)
+            pairs = SparsePoly.from_dict(data).residues(p, n)
+        r = rng.randint(0, modulus - 1)
+        h = taylor_shift_truncate(pairs, r, p, n)
+        assert len(h) == min(pairs[-1][0], n - 1) + 1
+        y0 = rng.randint(0, modulus - 1)
+        x = (r + p * y0) % modulus
+        direct = sum(c * pow(x, e, modulus) for e, c in pairs) % modulus
+        via_shift = sum(h[k] * pow(y0, k, modulus) for k in range(len(h))) % modulus
         assert direct == via_shift
-
-
-def test_taylor_shift_requires_precision():
-    from padroot.errors import PrecisionExhausted
-    from padroot.padic import PadicNum
-
-    r = PadicNum.from_rational(1, 1, 5, 3)
-    with pytest.raises(PrecisionExhausted):
-        taylor_shift_truncate(parse_poly("x^2 - 1"), r, 5, 10)
 
 
 def test_reduce_exponents_trinomial():
