@@ -396,6 +396,9 @@ def dispatch(argv=None) -> int:
     except PadrootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -58,8 +60,17 @@ class SweepRow:
     unresolved: int
 
 
-def _candidate_exponents(spec: SweepSpec):
-    return list(combinations(range(1, spec.exponent_bound + 1), spec.t))
+def _unrank_exponents(n: int, t: int, rank: int) -> tuple[int, ...]:
+    """The rank-th (from 0) t-subset of 1..n in lexicographic order, by the
+    combinatorial number system: C(n, t) - 1 - rank = sum_i C(n - e_i, t + 1 - i)."""
+    left = math.comb(n, t) - 1 - rank
+    top = n
+    out = []
+    for k in range(t, 0, -1):
+        top = bisect_right(range(top), left, key=lambda d: math.comb(d, k)) - 1
+        left -= math.comb(top, k)
+        out.append(n - top)
+    return tuple(out)
 
 
 def _canonical_exhaustive(coeffs, exps, p, modulus):
@@ -96,9 +107,9 @@ def generate_candidates(spec: SweepSpec) -> list[SparsePoly]:
     out = []
     if spec.coeff_mode == "random":
         rng = random.Random(spec.seed)
-        exp_choices = _candidate_exponents(spec)
+        subsets = math.comb(spec.exponent_bound, spec.t)
         for _ in range(spec.candidates):
-            exps = rng.choice(exp_choices)
+            exps = _unrank_exponents(spec.exponent_bound, spec.t, rng.randrange(subsets))
             terms = {0: Fraction(rng.choice([c for c in range(-spec.coeff_bound, spec.coeff_bound + 1) if c]))}
             for e in exps:
                 terms[e] = Fraction(rng.choice(
@@ -107,7 +118,7 @@ def generate_candidates(spec: SweepSpec) -> list[SparsePoly]:
     elif spec.coeff_mode == "exhaustive":
         modulus = spec.p**spec.coeff_modulus_exp
         residues = range(1, modulus)
-        for exps in _candidate_exponents(spec):
+        for exps in combinations(range(1, spec.exponent_bound + 1), spec.t):
             for coeffs in product(residues, repeat=spec.t + 1):
                 if not _canonical_exhaustive(coeffs, exps, spec.p, modulus):
                     continue

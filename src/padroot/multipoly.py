@@ -2,16 +2,18 @@
 
 A polynomial is a map from exponent tuples (one slot per variable) to nonzero
 integer coefficients.  Everything is exact; there is no floating point
-anywhere.  The sizes this package needs are tiny (at most five or six
-variables, degrees in the tens), so all algorithms favor clarity over
-asymptotics: determinants by cofactor expansion, division by leading-term
-reduction under graded-lexicographic order.
+anywhere.  Determinants go by cofactor expansion (at most five or six
+variables, degrees in the tens); exact division by leading-term reduction
+under graded-lexicographic order, each leading term popped off a heap of
+the remainder's monomials (Monagan and Pearce, JSC 2011).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 from .errors import InternalError
 
@@ -34,7 +36,7 @@ class MultiPoly:
             for mono, coeff in terms.items():
                 if len(mono) != nvars:
                     raise InternalError(f"monomial {mono} has wrong arity, expected {nvars}")
-                if any(e < 0 for e in mono):
+                if mono and min(mono) < 0:
                     raise InternalError(f"negative exponent in monomial {mono}")
                 if coeff:
                     clean[mono] = coeff
@@ -115,7 +117,7 @@ class MultiPoly:
         out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
+                mono = tuple(map(add, m1, m2))
                 new = out.get(mono, 0) + c1 * c2
                 if new:
                     out[mono] = new
@@ -149,31 +151,39 @@ class MultiPoly:
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact quotient self/divisor; raises InternalError on any remainder.
 
-        Leading-term reduction under graded lex.  Exactness of every
-        coefficient division is required: a failure means the caller's
-        divisibility guarantee is broken, never a legitimate input state.
+        Leading-term reduction under graded lex, the leading monomial popped
+        off a heap on the negated grlex key: a monomial is pushed when it
+        (re)enters the remainder and skipped if popped after cancelling.
+        Every coefficient division must be exact: a failure means the
+        caller's divisibility guarantee is broken, not an input state.
         """
         self._check_arity(divisor)
         if divisor.is_zero():
             raise InternalError("division by the zero polynomial")
         quotient: dict[Monomial, int] = {}
         rem = dict(self.terms)
+        heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
+        heapify(heap)
         div_mono, div_coeff = divisor.leading()
         while rem:
-            mono = max(rem, key=_grlex_key)
-            coeff = rem[mono]
-            q_mono = tuple(a - b for a, b in zip(mono, div_mono))
-            if any(e < 0 for e in q_mono) or coeff % div_coeff:
+            mono = heappop(heap)[2]
+            coeff = rem.get(mono)
+            if coeff is None:
+                continue
+            q_mono = tuple(map(sub, mono, div_mono))
+            if (q_mono and min(q_mono) < 0) or coeff % div_coeff:
                 raise InternalError("inexact multivariate division (nonzero remainder)")
             q_coeff = coeff // div_coeff
             quotient[q_mono] = q_coeff
             for m, c in divisor.terms.items():
-                tm = tuple(a + b for a, b in zip(q_mono, m))
+                tm = tuple(map(add, q_mono, m))
                 new = rem.get(tm, 0) - q_coeff * c
+                if tm not in rem:
+                    heappush(heap, (-sum(tm), tuple(map(neg, tm)), tm))
                 if new:
                     rem[tm] = new
                 else:
-                    rem.pop(tm, None)
+                    del rem[tm]
         return MultiPoly(self.nvars, quotient)
 
     # -- substitution -------------------------------------------------

@@ -190,41 +190,26 @@ def binomial_det(indices, eval_at=None):
     if eval_at is not None:
         if len(eval_at) != t:
             raise PreconditionFailed("evaluation point arity mismatch")
-        matrix = [
-            [_binom_fraction(Fraction(a), k) for k in indices]
-            for a in eval_at
-        ]
-        return _fraction_det(matrix)
+        # Column j holds (a)_{k_j} = k_j! C(a, k_j): ints at integer points,
+        # Fractions at rational ones, so one determinant serves either.
+        matrix = [[math.prod(a - c for c in range(k)) for k in indices] for a in eval_at]
+        return Fraction(_cofactor_det(matrix), math.prod(map(math.factorial, indices)))
 
-    rows = []
-    for i in range(t):
-        row = []
-        for k in indices:
-            entry = MultiPoly.const(t, 1)
-            for c in range(k):
-                entry = entry * (MultiPoly.monomial(t, i) - MultiPoly.const(t, c))
-            row.append(entry)
-        rows.append(row)
+    rows = [[math.prod((MultiPoly.monomial(t, i) - MultiPoly.const(t, c) for c in range(k)),
+                       start=MultiPoly.const(t, 1)) for k in indices] for i in range(t)]
     return det(rows)
 
 
-def _binom_fraction(x: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for c in range(k):
-        out *= (x - c)
-    return out / math.factorial(k)
-
-
-def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
+def _cofactor_det(matrix):
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
-    total = Fraction(0)
+    total = 0
     for i in range(n):
         if not matrix[i][0]:
             continue
         minor = [row[1:] for r, row in enumerate(matrix) if r != i]
-        sub = _fraction_det(minor)
+        sub = _cofactor_det(minor)
         total += (-1) ** i * matrix[i][0] * sub
     return total
 

@@ -228,3 +228,14 @@ def test_bad_prime_or_exponent_bound_exits_1(capsys, command):
     code, out, err = run(capsys, command)
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ")
+
+
+def test_unexpected_exception_is_one_line_exit_1(capsys, monkeypatch):
+    def broken(args, config):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("padroot.cli._cmd_bounds", broken)
+    code, out, err = run(capsys, ["bounds", "--t", "2", "--p", "5"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "internal error: ValueError: boom\n"

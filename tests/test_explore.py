@@ -1,9 +1,14 @@
+import random
+import time
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from padroot.errors import PreconditionFailed
 from padroot.explore import SweepSpec, generate_candidates, run_sweep
+from padroot.sparsepoly import SparsePoly, format_poly
 
 
 def test_binomial_sweep_reaches_p_minus_1(tmp_path):
@@ -70,3 +75,35 @@ def test_rejects_bad_spec():
     with pytest.raises(PreconditionFailed):
         generate_candidates(SweepSpec(p=5, t=1, exponent_bound=5,
                                       coeff_mode="bogus"))
+
+
+def _list_based_draw(spec):
+    """Random-mode candidates drawn from a materialised list of t-subsets."""
+    rng = random.Random(spec.seed)
+    subsets = list(combinations(range(1, spec.exponent_bound + 1), spec.t))
+    coeffs = [c for c in range(-spec.coeff_bound, spec.coeff_bound + 1) if c]
+    out = []
+    for _ in range(spec.candidates):
+        exps = rng.choice(subsets)
+        terms = {0: Fraction(rng.choice(coeffs))}
+        for e in exps:
+            terms[e] = Fraction(rng.choice(coeffs))
+        out.append(format_poly(SparsePoly.from_dict(terms)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 17, 702])
+def test_random_candidates_match_list_based_draw(seed):
+    spec = SweepSpec(p=5, t=3, exponent_bound=14, candidates=50, seed=seed)
+    got = [format_poly(f) for f in generate_candidates(spec)]
+    assert got == _list_based_draw(spec)
+
+
+def test_random_candidates_at_huge_exponent_bound():
+    spec = SweepSpec(p=5, t=3, exponent_bound=10**6, candidates=5, seed=1)
+    start = time.perf_counter()
+    cands = generate_candidates(spec)
+    assert time.perf_counter() - start < 1.0
+    assert len(cands) == 5
+    for f in cands:
+        assert len(f.terms) == 4 and max(e for e, _ in f.terms) <= 10**6

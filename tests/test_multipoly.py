@@ -28,6 +28,16 @@ def test_zero_terms_dropped():
     assert p.terms == {(1, 0): 3}
 
 
+def test_rejects_wrong_arity_and_negative_exponents():
+    with pytest.raises(InternalError):
+        MultiPoly(2, {(1,): 3})
+    with pytest.raises(InternalError):
+        MultiPoly(2, {(1, -1): 3})
+    with pytest.raises(InternalError):
+        MultiPoly(2, {(1, -1): 0})
+    assert MultiPoly(0, {(): 3}).terms == {(): 3}
+
+
 def test_add_mul_basics():
     p = x(2, 0) + x(2, 1)
     q = x(2, 0) - x(2, 1)
@@ -71,6 +81,63 @@ def test_divide_exact_rejects_remainder():
     q = x(2, 0) + x(2, 1)
     with pytest.raises(InternalError):
         p.divide_exact(q)
+
+
+def test_divide_exact_roundtrip_large():
+    # products of a few hundred terms, so the remainder's leading term is
+    # drawn from a large heap at every step
+    rng = random.Random(2011)
+
+    def draw(nvars, max_deg, terms):
+        return MultiPoly(nvars, {
+            tuple(rng.randint(0, max_deg) for _ in range(nvars)): rng.choice([-3, -1, 1, 2, 5])
+            for _ in range(terms)
+        })
+
+    for nvars in range(2, 6):
+        for _ in range(3):
+            a = draw(nvars, 30 // nvars, 60)
+            b = draw(nvars, 3, 12)
+            product = a * b
+            assert len(product.terms) >= 200
+            assert product.divide_exact(b) == a
+
+
+def test_divide_exact_monomial_reenters_remainder():
+    # (x^2 + x + 1)(x^2 - x - 1) = x^4 - x^2 - 2x - 1.  The first step
+    # cancels x^2 out of the remainder and the second brings it back, so the
+    # heap holds a stale entry for x^2 next to the live one.
+    q = x(1, 0) ** 2 + x(1, 0) + c(1, 1)
+    d = x(1, 0) ** 2 - x(1, 0) - c(1, 1)
+    assert (q * d).terms == {(4,): 1, (2,): -1, (1,): -2, (0,): -1}
+    assert (q * d).divide_exact(d) == q
+    # the same trace in two variables, with a lead coefficient of 2
+    q2 = (q.map_vars([0], 2) + x(2, 1)).scale(3)
+    d2 = d.map_vars([0], 2).scale(2)
+    assert (q2 * d2).divide_exact(d2) == q2
+
+
+def test_divide_exact_rejects_remainder_below_the_top():
+    # the leading terms divide; the remainder shows up only further down
+    y = x(2, 0)
+    with pytest.raises(InternalError):
+        (y * (c(2, 2) * y + c(2, 1)) + y).divide_exact(c(2, 2) * y + c(2, 1))
+    with pytest.raises(InternalError):
+        ((y + x(2, 1)) ** 3 + c(2, 1)).divide_exact(y + x(2, 1))
+    # the exponents divide all the way down; a coefficient does not
+    with pytest.raises(InternalError):
+        (c(2, 2) * y ** 2 + c(2, 3) * y).divide_exact(c(2, 2) * y)
+    rng = random.Random(5)
+    for nvars in range(2, 5):
+        for _ in range(10):
+            a = random_poly(rng, nvars)
+            b = random_poly(rng, nvars) + x(nvars, 0) ** 4
+            r = random_poly(rng, nvars, max_deg=1)
+            if a.is_zero() or r.is_zero() or r.total_degree() >= b.total_degree():
+                continue
+            # b divides neither r nor a*b + r, as deg r < deg b
+            with pytest.raises(InternalError):
+                (a * b + r).divide_exact(b)
 
 
 def test_substitute_and_shift():

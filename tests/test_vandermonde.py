@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from padroot.errors import CapExceeded, PreconditionFailed
+from padroot.errors import CapExceeded, InternalError, PreconditionFailed
 from padroot.multipoly import MultiPoly
 from padroot.vandermonde import (
     binomial_det,
@@ -209,3 +209,11 @@ def test_binomial_det_evaluated_rational_points():
     value = binomial_det((1, 2), eval_at=(Fraction(1, 2), Fraction(3, 2)))
     # C(x,1)=x, C(x,2)=x(x-1)/2 -> det [[1/2, -1/8], [3/2, 3/8]]
     assert value == Fraction(1, 2) * Fraction(3, 8) - Fraction(-1, 8) * Fraction(3, 2)
+
+
+def test_shift_expansion_rejects_non_integral_weight(monkeypatch):
+    import padroot.vandermonde as vandermonde
+
+    monkeypatch.setattr(vandermonde, "binomial_det", lambda beta, eval_at=None: Fraction(1, 2))
+    with pytest.raises(InternalError):
+        check_shift_expansion((1, 2), (1, 1, 1))
