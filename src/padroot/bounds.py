@@ -20,6 +20,8 @@ from .padic import int_valuation, is_prime
 
 D_T_MAX_M = 40
 D_T_MAX_T = 6
+LENSTRA_RUNOUT = 20
+LENSTRA_SCAN_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def sparse_lower_bound(t: int, q: int) -> LowerBounds:
     return LowerBounds(improved=(2 * t - 1) * (q - 1), regular=t * (q - 1))
 
 
-def distinct_product_lcm(t: int, m: int, cap_m: int = D_T_MAX_M, cap_t: int = D_T_MAX_T) -> int:
+def distinct_product_lcm(t: int, m: int) -> int:
     """lcm of all products of at most t pairwise distinct integers in [1, m].
 
     The empty product contributes 1.  Enumerated by subset recursion with
@@ -96,8 +98,8 @@ def distinct_product_lcm(t: int, m: int, cap_m: int = D_T_MAX_M, cap_t: int = D_
     """
     if t < 0 or m < 0:
         raise PreconditionFailed("t and m must be nonnegative")
-    if m > cap_m or t > cap_t:
-        raise CapExceeded(f"d_t enumeration capped at m<={cap_m}, t<={cap_t}")
+    if m > D_T_MAX_M or t > D_T_MAX_T:
+        raise CapExceeded(f"d_t enumeration capped at m<={D_T_MAX_M}, t<={D_T_MAX_T}")
     return _distinct_product_lcm_cached(t, m)
 
 
@@ -137,14 +139,13 @@ def vp_distinct_product_lcm(t: int, m: int, p: int) -> int:
     return sum(vals[:t])
 
 
-def lenstra_threshold(p: int, t: int, r: Fraction | int, runout: int = 20,
-                      scan_cap: int = 400) -> int:
+def lenstra_threshold(p: int, t: int, r: Fraction | int) -> int:
     """The largest m with m r - v_p(d_t(m)) <= max_i (i r - v_p(i!)), i <= t.
 
     No a-priori scan bound exists, so the scan commits only after the margin
-    has stayed above the threshold and strictly increased for `runout`
+    has stayed above the threshold and strictly increased for LENSTRA_RUNOUT
     consecutive values of m; ScanWindowExceeded if that never stabilizes
-    within the cap.
+    by m = LENSTRA_SCAN_CAP.
     """
     r = Fraction(r)
     if r <= 0:
@@ -155,7 +156,7 @@ def lenstra_threshold(p: int, t: int, r: Fraction | int, runout: int = 20,
     streak = 0
     prev_margin = None
     m = 0
-    while m <= scan_cap:
+    while m <= LENSTRA_SCAN_CAP:
         margin = m * r - vp_distinct_product_lcm(t, m, p)
         if margin <= rhs:
             best = m
@@ -167,9 +168,9 @@ def lenstra_threshold(p: int, t: int, r: Fraction | int, runout: int = 20,
             else:
                 streak = 0
             prev_margin = margin
-            if best is not None and streak >= runout:
+            if best is not None and streak >= LENSTRA_RUNOUT:
                 return best
         m += 1
     raise ScanWindowExceeded(
-        f"threshold scan did not stabilize within m <= {scan_cap}"
+        f"threshold scan did not stabilize within m <= {LENSTRA_SCAN_CAP}"
     )

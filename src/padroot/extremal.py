@@ -34,6 +34,7 @@ from .rootcount import CountOptions, RootReport, count_roots
 from .sparsepoly import SparsePoly, newton_polygon
 
 MAX_EXPONENT_DEFAULT = 10**6
+CHAIN_DEPTH = 16  # power-congruence levels per starting point
 
 
 @dataclass
@@ -46,7 +47,6 @@ class BuildOptions:
     # logarithmic-derivative degeneracy runs deep (q = 5 needs ~4*5^10),
     # so the builder's cap sits above the package-wide parsing default
     exponent_cap: int = 10**8
-    chain_depth: int = 16      # power-congruence levels per starting point
 
     def count_options(self) -> CountOptions:
         return CountOptions(prec=self.prec, depth=self.depth)
@@ -330,7 +330,7 @@ def _alpha_candidates(hhat, alpha_prev_top, minimum, q, opts, trace):
         starts.append((r0, y))
     budgets = {r0: opts.alpha_window for r0, _ in starts}
 
-    for level in range(2, opts.chain_depth + 2):
+    for level in range(2, CHAIN_DEPTH + 2):
         for r0, y in starts:
             if budgets[r0] <= 0:
                 continue

@@ -1,17 +1,16 @@
-"""Exact capped-precision arithmetic in the field of p-adic numbers.
+"""p-adic helpers of the root counter: valuations, primality, roots' digits.
 
-A number is stored as p^val * unit with the unit known modulo p^prec
-(relative precision).  Two special states exist: the exact zero, and
-"bottom" -- a value indistinguishable from zero at the available precision,
-carrying the absolute floor N with the meaning "lies in p^N Z_p".
-Arithmetic follows the min-rule for precision and never silently gains
-digits.  Valuations of exactly known rationals are exact, which is what the
-Newton-polygon machinery relies on.
+A counted root is reported as p^val * unit with the unit known modulo
+p^prec (`PadicNum`); it comes from a Newton (Hensel) lift whose witness
+v(f(r0)) > 2 v(f'(r0)) is checked before any iteration (`hensel_lift`), or
+from an exact point -- a Teichmuller representative (`teichmuller`) or a
+rational.  Valuations of exactly known rationals are exact, which is what
+the Newton-polygon machinery relies on.  `solve_power_congruences` finds
+the exponent chains the tower builder needs.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import InternalError, PrecisionExhausted, PreconditionFailed
@@ -80,239 +79,59 @@ def fraction_valuation(q: Fraction | int, p: int) -> int:
 
 
 class PadicNum:
-    """A p-adic number of the form p^val * unit, unit known mod p^prec."""
+    """The certified digits of a root: p^val * unit, the unit known mod p^prec.
 
-    __slots__ = ("p", "kind", "val", "unit", "prec", "floor")
+    A record, not a field element: the counter reports every root in this
+    form and never adds, divides or raises one.
+    """
 
-    def __init__(self, p: int, kind: str, val: int = 0, unit: int = 0,
-                 prec: int = 0, floor: int = 0):
+    __slots__ = ("p", "val", "unit", "prec")
+    kind = "num"  # the only state; perfbench/worker.py still checks it
+
+    def __init__(self, p: int, val: int, unit: int, prec: int):
+        if prec < 1:
+            raise InternalError("relative precision must be at least 1")
+        if unit % p == 0:
+            raise InternalError("unit part divisible by p")
         self.p = p
-        self.kind = kind  # "num" | "zero" | "bottom"
         self.val = val
         self.unit = unit
         self.prec = prec
-        self.floor = floor
-        if kind == "num":
-            if prec < 1:
-                raise InternalError("relative precision must be at least 1")
-            if unit % p == 0:
-                raise InternalError("unit part divisible by p")
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, p: int) -> "PadicNum":
-        return cls(p, "zero")
-
-    @classmethod
-    def bottom(cls, p: int, floor: int) -> "PadicNum":
-        return cls(p, "bottom", floor=floor)
-
-    @classmethod
-    def from_rational(cls, num: int, den: int, p: int,
-                      prec: int = DEFAULT_PRECISION) -> "PadicNum":
-        """Exact rational -> p-adic with the stated relative precision.
-
-        The denominator may be divisible by p (negative valuations are
-        fine); num == 0 gives the exact-zero element.
-        """
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if num == 0:
-            return cls.zero(p)
-        a = int_valuation(num, p)
-        b = int_valuation(den, p)
-        modulus = p ** prec
-        u = (num // p**a) * pow(den // p**b, -1, modulus) % modulus
-        return cls(p, "num", val=a - b, unit=u, prec=prec)
 
     @classmethod
     def from_fraction(cls, q: Fraction | int, p: int,
                       prec: int = DEFAULT_PRECISION) -> "PadicNum":
+        """A nonzero rational with `prec` digits of its unit part; the
+        denominator may be divisible by p."""
         q = Fraction(q)
-        return cls.from_rational(q.numerator, q.denominator, p, prec)
+        a = int_valuation(q.numerator, p)
+        b = int_valuation(q.denominator, p)
+        modulus = p**prec
+        u = (q.numerator // p**a) * pow(q.denominator // p**b, -1, modulus) % modulus
+        return cls(p, a - b, u, prec)
 
-    # -- queries ----------------------------------------------------------
-
-    def is_exact_zero(self) -> bool:
-        return self.kind == "zero"
-
-    def is_bottom(self) -> bool:
-        return self.kind == "bottom"
-
-    def valuation(self):
-        """Exact valuation; math.inf for the exact zero.
-
-        For bottom values only a lower bound is known, so asking for the
-        valuation is an error -- use `val_floor`.
-        """
-        if self.kind == "zero":
-            return math.inf
-        if self.kind == "bottom":
-            raise PrecisionExhausted(
-                f"valuation known only to be >= {self.floor} at this precision"
-            )
-        return self.val
-
-    def val_floor(self) -> int | float:
-        if self.kind == "zero":
-            return math.inf
-        if self.kind == "bottom":
-            return self.floor
-        return self.val
-
-    def abs_prec(self) -> int | float:
-        """Absolute precision: the value is known modulo p^abs_prec."""
-        if self.kind == "zero":
-            return math.inf
-        if self.kind == "bottom":
-            return self.floor
-        return self.val + self.prec
+    def shift(self, m: int) -> "PadicNum":
+        """p^m times this number: the same digits at valuation val + m."""
+        return PadicNum(self.p, self.val + m, self.unit, self.prec)
 
     def unit_mod(self, k: int) -> int:
-        if self.kind != "num":
-            raise PrecisionExhausted("no unit part available")
         if k > self.prec:
             raise PrecisionExhausted(f"unit requested mod p^{k}, known mod p^{self.prec}")
         return self.unit % self.p**k
 
     def residue(self, k: int) -> int:
         """Integer representative modulo p^k; requires valuation >= 0."""
-        if self.kind == "zero":
-            return 0
-        if self.kind == "bottom":
-            if self.floor >= k:
-                return 0
-            raise PrecisionExhausted(f"value known only in p^{self.floor} Z_p")
         if self.val < 0:
             raise PreconditionFailed("negative valuation has no integer residue")
         if self.val >= k:
             return 0
-        if self.abs_prec() < k:
+        if self.val + self.prec < k:
             raise PrecisionExhausted(
-                f"residue mod p^{k} requested, absolute precision {self.abs_prec()}"
+                f"residue mod p^{k} requested, known mod p^{self.val + self.prec}"
             )
         return self.p**self.val * self.unit % self.p**k
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, PadicNum):
-            if other.p != self.p:
-                raise InternalError("mixed primes in p-adic arithmetic")
-            return other
-        if isinstance(other, (int, Fraction)):
-            prec = self.prec if self.kind == "num" else DEFAULT_PRECISION
-            return PadicNum.from_fraction(other, self.p, prec)
-        return NotImplemented
-
-    def __neg__(self) -> "PadicNum":
-        if self.kind != "num":
-            return self
-        return PadicNum(self.p, "num", self.val,
-                        (-self.unit) % self.p**self.prec, self.prec)
-
-    def __add__(self, other) -> "PadicNum":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.kind == "zero":
-            return other
-        if other.kind == "zero":
-            return self
-        if self.kind == "bottom" or other.kind == "bottom":
-            floor = int(min(self.abs_prec(), other.abs_prec()))
-            num = self if self.kind == "num" else other
-            if num.kind == "num" and num.val < floor:
-                # the determined part sticks out below the uncertainty
-                return PadicNum(self.p, "num", num.val,
-                                num.unit % self.p ** (floor - num.val),
-                                floor - num.val)
-            return PadicNum.bottom(self.p, floor)
-        # both plain numbers
-        absprec = min(self.val + self.prec, other.val + other.prec)
-        low = min(self.val, other.val)
-        k = absprec - low
-        if k <= 0:
-            return PadicNum.bottom(self.p, absprec)
-        modulus = self.p**k
-        total = (self.unit * self.p**(self.val - low)
-                 + other.unit * self.p**(other.val - low)) % modulus
-        if total == 0:
-            return PadicNum.bottom(self.p, absprec)
-        v = int_valuation(total, self.p)
-        if v + low >= absprec:
-            return PadicNum.bottom(self.p, absprec)
-        return PadicNum(self.p, "num", low + v, total // self.p**v % self.p**(k - v), k - v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "PadicNum":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> "PadicNum":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.kind == "zero" or other.kind == "zero":
-            return PadicNum.zero(self.p)
-        if self.kind == "bottom" or other.kind == "bottom":
-            floor = self.val_floor() + other.val_floor()
-            return PadicNum.bottom(self.p, int(floor))
-        prec = min(self.prec, other.prec)
-        unit = self.unit * other.unit % self.p**prec
-        return PadicNum(self.p, "num", self.val + other.val, unit, prec)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "PadicNum":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.kind == "zero":
-            raise ZeroDivisionError("division by exact p-adic zero")
-        if other.kind == "bottom":
-            raise PrecisionExhausted(
-                "division by a value indistinguishable from zero"
-            )
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def inverse(self) -> "PadicNum":
-        if self.kind == "zero":
-            raise ZeroDivisionError("inverse of exact zero")
-        if self.kind == "bottom":
-            raise PrecisionExhausted("inverse of a value indistinguishable from zero")
-        unit = pow(self.unit, -1, self.p**self.prec)
-        return PadicNum(self.p, "num", -self.val, unit, self.prec)
-
-    def __pow__(self, n: int) -> "PadicNum":
-        if self.kind == "zero":
-            if n <= 0:
-                raise ZeroDivisionError("zero to a nonpositive power")
-            return self
-        if self.kind == "bottom":
-            if n <= 0:
-                raise PrecisionExhausted("power of a value indistinguishable from zero")
-            return PadicNum.bottom(self.p, self.floor * n)
-        base = self if n >= 0 else self.inverse()
-        e = abs(n)
-        unit = pow(base.unit, e, self.p**base.prec)
-        return PadicNum(self.p, "num", base.val * e, unit, base.prec)
-
     def __repr__(self):
-        if self.kind == "zero":
-            return f"O(p=∞)_{self.p}"
-        if self.kind == "bottom":
-            return f"O({self.p}^{self.floor})"
         digits = []
         u = self.unit
         for _ in range(min(self.prec, 8)):
@@ -335,15 +154,16 @@ def teichmuller(p: int, residue: int, prec: int = DEFAULT_PRECISION) -> PadicNum
         x = pow(x, p, modulus)
     if pow(x, p - 1, modulus) != 1:
         raise InternalError("Teichmuller iteration failed to converge")
-    return PadicNum(p, "num", 0, x, prec)
+    return PadicNum(p, 0, x, prec)
 
 
 def hensel_lift(f, r0: PadicNum, prec: int = DEFAULT_PRECISION):
     """Newton-lift an approximate root to a certified simple root.
 
     `f` must behave like a polynomial with p-integral coefficients: it
-    needs `eval_mod(x, p, k)` and `derivative()`.  The start r0 is a
-    p-adic integer known to r0.abs_prec() digits.  The precondition
+    needs `eval_mod(x, p, k)` and `derivative()`.  The start r0 must be a
+    p-adic unit (val 0), known to r0.prec digits; the root it reaches is a
+    unit too, as it agrees with r0 mod p.  The precondition
     v(f(r0)) > 2 v(f'(r0)) is verified before any iteration; the returned
     root r satisfies f(r) = 0 mod p^prec and inherits v(f'(r)) = v(f'(r0)),
     so it is a simple root.
@@ -352,14 +172,12 @@ def hensel_lift(f, r0: PadicNum, prec: int = DEFAULT_PRECISION):
     two valuations.
     """
     p = r0.p
-    if r0.is_exact_zero() or r0.is_bottom():
-        raise PreconditionFailed("approximate root must be a determined unit form")
-    if r0.val < 0:
-        raise PreconditionFailed("approximate root must lie in Z_p")
+    if r0.val != 0:
+        raise PreconditionFailed("Hensel start must be a p-adic unit")
     fprime = f.derivative()
-    probe = min(int(r0.abs_prec()), prec + 8)
-    fv = f.eval_mod(r0.residue(probe), p, probe)
-    dv = fprime.eval_mod(r0.residue(probe), p, probe)
+    probe = min(r0.prec, prec + 8)
+    fv = f.eval_mod(r0.unit_mod(probe), p, probe)
+    dv = fprime.eval_mod(r0.unit_mod(probe), p, probe)
     if dv == 0:
         raise PrecisionExhausted("cannot see v(f'(r0)) at this precision")
     val_fp = int_valuation(dv, p)
@@ -382,7 +200,7 @@ def hensel_lift(f, r0: PadicNum, prec: int = DEFAULT_PRECISION):
     # target precision from f itself regardless of r0's own precision.
     work = prec + 2 * val_fp + 4
     modulus = p**work
-    r = r0.residue(min(int(r0.abs_prec()), work)) % modulus
+    r = r0.unit_mod(min(r0.prec, work))
 
     for _ in range(2 * work.bit_length() + 8):
         fv = f.eval_mod(r, p, work)
@@ -399,15 +217,8 @@ def hensel_lift(f, r0: PadicNum, prec: int = DEFAULT_PRECISION):
     else:
         raise InternalError("Newton iteration failed to converge")
 
-    cert = ApproxRootCertificate(r0, val_f, val_fp)
-    root_val = int_valuation(r, p) if r else 0
-    if r == 0:
-        root = PadicNum.zero(p)
-    else:
-        rel = min(prec, work - val_fp - root_val)
-        root = PadicNum(p, "num", root_val,
-                        (r // p**root_val) % p**rel, rel)
-    return root, cert
+    rel = min(prec, work - val_fp)
+    return PadicNum(p, 0, r % p**rel, rel), ApproxRootCertificate(r0, val_f, val_fp)
 
 
 class ApproxRootCertificate:
@@ -425,29 +236,6 @@ class ApproxRootCertificate:
     def __repr__(self):
         return (f"ApproxRootCertificate(v(f)={self.val_f_r0}, "
                 f"v(f')={self.val_fprime_r0})")
-
-
-def pth_roots_of_unity(p: int, prec: int = DEFAULT_PRECISION) -> set[PadicNum]:
-    """All p-th roots of unity in Q_p for odd p: exactly {1}.
-
-    Verified rather than assumed: no residue other than 1 satisfies
-    x^p = 1 mod p (Fermat), and around 1 the shifted polynomial
-    ((1+py)^p - 1)/p^2 has y as its only Z_p-root, checked through its
-    exact integer coefficients.
-    """
-    if p == 2 or p < 2:
-        raise PreconditionFailed("odd prime required")
-    for r in range(2, p):
-        if pow(r, p, p) == 1 % p:
-            raise InternalError("unexpected extra residue root of x^p - 1")
-    # h(y) = (1+py)^p - 1 = sum_k C(p,k) p^k y^k; minimum valuation is at k=1
-    coeffs = [math.comb(p, k) * p**k for k in range(1, p + 1)]
-    vals = [int_valuation(c, p) for c in coeffs]
-    if vals[0] != 2 or any(v < 3 for v in vals[1:]):
-        raise InternalError("unit-ball analysis of x^p - 1 failed")
-    # after dividing by p^2 the reduction is a nonzero multiple of y alone,
-    # so y = 0 (an exact root) is the unique root with v(y) >= 0
-    return {PadicNum(p, "num", 0, 1, prec)}
 
 
 def solve_power_congruences(r, y, p: int, depth: int,
@@ -512,8 +300,6 @@ def solve_power_congruences(r, y, p: int, depth: int,
 
 
 def _to_residue(value, p: int, k: int) -> int:
-    if isinstance(value, PadicNum):
-        return value.residue(k)
     value = Fraction(value)
     if int_valuation(value.denominator, p):
         raise PreconditionFailed("value not p-integral")

@@ -21,6 +21,7 @@ never as a guessed count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -295,19 +296,17 @@ def rational_roots_with_multiplicity(g: SparsePoly, p: int, r: int, order: int,
     return sorted(found.items()), complete
 
 
-def _cyclotomic(d: int, _cache={}) -> list[int]:
+@functools.cache
+def _cyclotomic(d: int) -> tuple[int, ...]:
     """Dense integer coefficients of the d-th cyclotomic polynomial."""
-    if d in _cache:
-        return _cache[d]
     poly = [-1] + [0] * (d - 1) + [1]  # x^d - 1
     for e in range(1, d):
         if d % e == 0:
             poly = _dense_int_divide_exact(poly, _cyclotomic(e))
-    _cache[d] = poly
-    return poly
+    return tuple(poly)  # cached: shared by every caller
 
 
-def _dense_int_divide_exact(num: list[int], den: list[int]) -> list[int]:
+def _dense_int_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
@@ -473,10 +472,9 @@ def _hensel_entry(g: SparsePoly, p: int, start: int, known: int, m: int, nu: int
     them, cut back to prec digits, is the root lifted to prec.
     """
     lift_to = max(prec, heights.digits) if heights else prec
-    root, cert = hensel_lift(g, PadicNum(p, "num", 0, start, known), prec=lift_to)
-    value = PadicNum(p, "num", 0, root.unit_mod(prec), prec)
+    root, cert = hensel_lift(g, PadicNum(p, 0, start, known), prec=lift_to)
     entry = RootEntry(
-        value=value * Fraction(p) ** m if m else value,
+        value=PadicNum(p, m, root.unit_mod(prec), prec),
         valuation=m,
         multiplicity=1,
         certificate=HENSEL_SIMPLE,
@@ -614,6 +612,9 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
     n = opts.prec
     entries: list[RootEntry] = []
     clusters: list[UnresolvedCluster] = []
+    # the torsion multiplicity depends only on the order d, shared by
+    # every residue of that order
+    tor_mults: dict[int, int] = {}
 
     for r, i in zeros:
         ord0 = _residue_order(support, p, r)
@@ -625,9 +626,10 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
         # (point, multiplicity, torsion order or None for a rational)
         exact_points = []
         d = (p - 1) // math.gcd(i, p - 1)  # the order of r = gamma^i
-        tor_mult = torsion_multiplicity(g, p, d)
-        if tor_mult > 0:
-            exact_points.append((teichmuller(p, r, n), tor_mult, d))
+        if d not in tor_mults:
+            tor_mults[d] = torsion_multiplicity(g, p, d)
+        if tor_mults[d] > 0:
+            exact_points.append((teichmuller(p, r, n), tor_mults[d], d))
         if heights:
             rationals, _ = rational_roots_with_multiplicity(
                 g, p, r, ord0, exact_points, heights, opts)
@@ -664,7 +666,7 @@ def _exact_entry(g, p, point, mu, order, r, m, nu, n) -> RootEntry:
         rational = point * Fraction(p) ** m
         return RootEntry(PadicNum.from_fraction(rational, p, n), m, mu, EXACT_RATIONAL,
                          rational=rational, val_fprime=val_fprime)
-    return RootEntry(point * Fraction(p) ** m if m else point, m, mu, EXACT_TORSION,
+    return RootEntry(point.shift(m), m, mu, EXACT_TORSION,
                      rational=_torsion_rational(order, p, m), torsion=(order, r),
                      val_fprime=val_fprime)
 
@@ -740,10 +742,9 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
                 g_scaled, p, exact / Fraction(p) ** x_val, entry.multiplicity, None,
                 None, x_val, nu, n))
             continue
-        # generic: search for a p-adic p-th root of the unit part
-        avail = min(int(entry.value.prec), n)
-        unit_res = entry.value.unit_mod(avail)
-        root_res = _padic_pth_root(unit_res, p, avail)
+        # generic: the p-adic p-th root of the unit part, if any
+        avail = min(entry.value.prec, n)
+        root_res = _padic_pth_root(entry.value.unit_mod(avail), p, avail)
         if root_res is None:
             continue
         if entry.multiplicity > 1:
@@ -754,8 +755,8 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
                 "pth-root of a multiple root"))
             continue
         try:
-            report.entries.append(_hensel_entry(g_scaled, p, root_res % p**(avail - 2),
-                                                avail - 2, x_val, nu, n))
+            report.entries.append(_hensel_entry(g_scaled, p, root_res, avail - 2,
+                                                x_val, nu, n))
         except (PreconditionFailed, PrecisionExhausted):
             report.unresolved.append(UnresolvedCluster(
                 x_val, root_res % p**2, 2, 1, 0, "precision"))
@@ -792,33 +793,23 @@ def _integer_pth_root(n: int, p: int) -> int | None:
 
 
 def _padic_pth_root(u: int, p: int, known: int) -> int | None:
-    """A representative of the p-th root of the unit u, or None if no root.
+    """The p-th root of the unit u mod p^(known-2), or None if there is none.
 
-    Maintains the sets C_k = {x mod p^(k-1) : x^p = u mod p^k}, which any
-    true root must pass through; the first digit is forced by Fermat and the
-    survivor sets stay small because solutions mod p^k form a single class
-    mod p^(k-1).  A nonempty survivor set at full depth Hensel-certifies.
+    u, known mod p^known, is a p-th power in Z_p iff u = a^p mod p^2 for
+    a = u mod p.  Then r0 = a + p*((u - a^p)/p^2 mod p) has r0^p = u mod p^3
+    while v(p*r0^(p-1)) = 1, so one Hensel lift of x^p - u from r0 gives
+    the root, which u mod p^known determines mod p^(known-1).
     """
     if known < 4:
         raise PrecisionExhausted("need at least 4 digits to extract p-th roots")
-    if pow(u % p, p, p * p) != u % (p * p):
+    a = u % p
+    gap = u - pow(a, p, p**3)
+    if gap % p**2:
         return None
-    cands = [u % p]
-    for k in range(3, known + 1):
-        mod = p**k
-        target = u % mod
-        new = set()
-        for x in cands:
-            for j in range(p):
-                y = x + j * p ** (k - 2)
-                if pow(y, p, mod) == target:
-                    new.add(y)
-        if not new:
-            return None
-        if len(new) > p * p:
-            raise InternalError("p-th root candidate set grew unexpectedly")
-        cands = sorted(new)
-    return cands[0]
+    r0 = a + p * (gap // p**2 % p)
+    root, _ = hensel_lift(SparsePoly([(0, -u), (p, 1)]), PadicNum(p, 0, r0, 3),
+                          prec=known - 2)
+    return root.unit_mod(known - 2)
 
 
 # ---------------------------------------------------------------------------

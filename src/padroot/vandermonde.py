@@ -277,7 +277,7 @@ def compositions(total: int) -> list[tuple[int, ...]]:
     return out
 
 
-def identity_grid_report(t_max: int, alpha_max: int, expansion_cap: int | None = None):
+def identity_grid_report(t_max: int, alpha_max: int):
     """Run the full identity grid; one result row per (powers, blocks) pair.
 
     Checks, per pair: integrality and nonnegativity of the quotient, the
@@ -285,8 +285,7 @@ def identity_grid_report(t_max: int, alpha_max: int, expansion_cap: int | None =
     expansion; merge-identity rows are emitted separately for block vectors
     one short of square.  Returns a list of dict rows plus a summary dict.
     """
-    if expansion_cap is None:
-        expansion_cap = max(DEFAULT_EXPANSION_CAP, alpha_max)
+    expansion_cap = max(DEFAULT_EXPANSION_CAP, alpha_max)
     rows = []
     for t in range(1, t_max + 1):
         for powers in combinations(range(1, alpha_max + 1), t):

@@ -1,11 +1,15 @@
-"""Byte identity of the structured `count-roots` documents.
+"""Byte identity of the `count-roots` reports.
 
-`tests/data/golden_reports.json` holds the exit code and the exact
-`--format structured count-roots` output for a fixed set of inputs:
-seeded criterion-6 polynomials at p = 3, 5, 7 and 11, the fixed
-lacunary-bigp polynomials of the benchmark, and rational-reconstruction
-edge cases.  A change that alters any document must regenerate the file
-and say why in CHANGES.md:
+`tests/data/golden_reports.json` holds, for a fixed set of inputs, the exit
+code, the exact `--format structured` and `--format human` `count-roots`
+outputs, and every field of every `RootEntry` and `UnresolvedCluster` the
+counter returned (the structured document keeps only 12 unit digits per
+root; the fields keep all of them, the precision, the `repr` the human
+report prints and the Hensel witness).  The inputs are seeded criterion-6
+polynomials at p = 3, 5, 7 and 11, the fixed lacunary-bigp polynomials of
+the benchmark, rational-reconstruction edge cases and p-th-root descents.
+A change that alters any of it must regenerate the file and say why in
+CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 """
@@ -16,8 +20,9 @@ import json
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
-from padroot.cli import dispatch
+from padroot import cli
 from padroot.sparsepoly import format_poly
 
 from oracle import random_sparse_poly
@@ -31,6 +36,7 @@ LACUNARY = [
     (1009, "x^2016 - 1"),
     (7, "x^705900 - 117650*x^6 + 117649"),  # sharp_trinomial(7)
     (10007, f"5*x^200000 + 3*x^100 - {10007**100}"),
+    (101, "x^200 - 2*x^100 + 1"),  # 100 double torsion roots
 ]
 
 EDGE = [
@@ -40,6 +46,14 @@ EDGE = [
     # the simple root 3 shares a residue class with the double root 2/9
     (3, "81*x^3 - 279*x^2 + 112*x - 12"),
     (5, "81*x^3 - 279*x^2 + 112*x - 12"),
+]
+
+DESCENT = [
+    # every exponent divisible by p: roots come from x -> x^p descents
+    (3, "x^27 - 8"),
+    (5, "x^50 - 3*x^25 + 2"),
+    (5, "x^10 - 8*x^5 + 7"),  # 7 is an irrational 5th power in Q_5
+    (3, "x^9 - 10"),  # 10 has a cube root in Q_3, which has none
 ]
 
 
@@ -52,15 +66,57 @@ def golden_inputs() -> list[tuple[str, int, str]]:
             cases.append((f"corpus p={p} #{i}", p, format_poly(f)))
     cases += [(f"lacunary p={p} {text[:40]}", p, text) for p, text in LACUNARY]
     cases += [(f"edge p={p} {text[:40]}", p, text) for p, text in EDGE]
+    cases += [(f"descent p={p} {text}", p, text) for p, text in DESCENT]
     return cases
 
 
-def structured_document(p: int, text: str) -> dict:
+def _padic(value) -> list:
+    return [value.val, value.unit, value.prec]
+
+
+def _entry_fields(e) -> dict:
+    return {
+        "value": _padic(e.value),
+        "repr": repr(e.value),
+        "valuation": e.valuation,
+        "multiplicity": e.multiplicity,
+        "certificate": e.certificate,
+        "rational": None if e.rational is None else str(e.rational),
+        "torsion": None if e.torsion is None else list(e.torsion),
+        "val_fprime": e.val_fprime,
+        "hensel": None if e.hensel is None else [
+            _padic(e.hensel.r0), e.hensel.val_f_r0, e.hensel.val_fprime_r0],
+    }
+
+
+def _run(p: int, text: str, output: str):
+    """Exit code, stdout and the counter's report of one CLI run."""
+    reports = []
+    count_roots = cli.count_roots
+
+    def recording_count_roots(*args, **kwargs):
+        reports.append(count_roots(*args, **kwargs))
+        return reports[-1]
+
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = dispatch(["--format", "structured", "count-roots",
-                         "--p", str(p), "--poly", text])
-    return {"exit": code, "document": out.getvalue()}
+    with mock.patch.object(cli, "count_roots", recording_count_roots), \
+            contextlib.redirect_stdout(out):
+        code = cli.dispatch(["--format", output, "count-roots",
+                             "--p", str(p), "--poly", text])
+    return code, out.getvalue(), reports[0] if reports else None
+
+
+def golden_record(p: int, text: str) -> dict:
+    code, document, report = _run(p, text, "structured")
+    human_code, human, _ = _run(p, text, "human")
+    return {
+        "exit": code,
+        "document": document,
+        "human_exit": human_code,
+        "human": human,
+        "entries": None if report is None else [_entry_fields(e) for e in report.entries],
+        "clusters": None if report is None else [vars(c) for c in report.unresolved],
+    }
 
 
 def test_structured_reports_byte_identical():
@@ -68,13 +124,13 @@ def test_structured_reports_byte_identical():
     cases = golden_inputs()
     assert [case_id for case_id, _, _ in cases] == list(golden)
     for case_id, p, text in cases:
-        assert structured_document(p, text) == golden[case_id], case_id
+        assert golden_record(p, text) == golden[case_id], case_id
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_reports.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
-    golden = {case_id: structured_document(p, text)
+    golden = {case_id: golden_record(p, text)
               for case_id, p, text in golden_inputs()}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ from padroot.padic import (
     PadicNum,
     fraction_valuation,
     hensel_lift,
-    pth_roots_of_unity,
     solve_power_congruences,
     teichmuller,
 )
@@ -17,23 +15,17 @@ from padroot.sparsepoly import parse_poly
 
 
 def test_from_rational_basics():
-    a = PadicNum.from_rational(9, 1, 3, 4)
+    a = PadicNum.from_fraction(9, 3, 4)
     assert a.val == 2 and a.unit == 1
 
-    b = PadicNum.from_rational(1, 625, 5, 3)
+    b = PadicNum.from_fraction(Fraction(1, 625), 5, 3)
     assert b.val == -4 and b.unit == 1
 
     # -624/625 = (-625+1)/625: unit congruent to 1 mod 25
-    c = PadicNum.from_rational(-624, 625, 5, 2)
+    c = PadicNum.from_fraction(Fraction(-624, 625), 5, 2)
     assert c.val == -4 and c.unit == 1
     # cross-check by modular inverse: unit = -624 * inv(1) mod 25
     assert (-624) % 25 == 1
-
-
-def test_exact_zero():
-    z = PadicNum.from_rational(0, 7, 5, 3)
-    assert z.is_exact_zero()
-    assert z.valuation() == math.inf
 
 
 def random_fraction(rng, p):
@@ -52,54 +44,42 @@ def test_valuation_arithmetic_properties(p):
         qy = random_fraction(rng, p)
         x = PadicNum.from_fraction(qx, p, 30)
         y = PadicNum.from_fraction(qy, p, 30)
-        assert (x * y).valuation() == x.valuation() + y.valuation()
-        s = x + y
         vx, vy = fraction_valuation(qx, p), fraction_valuation(qy, p)
+        assert (x.val, y.val) == (vx, vy)
+        # valuations add, and shifting by p^m changes only the valuation
+        xy = PadicNum.from_fraction(qx * qy, p, 30)
+        assert xy.val == x.shift(vy).val == vx + vy
+        assert xy.unit == x.unit * y.unit % p**30
+        assert x.shift(vy).unit == x.unit
         exact_sum = qx + qy
         if exact_sum == 0:
-            assert s.is_bottom() or s.is_exact_zero()
             continue
         v_true = fraction_valuation(exact_sum, p)
-        if s.is_bottom():
-            assert v_true >= s.floor
-        else:
-            assert s.valuation() == v_true
         assert v_true >= min(vx, vy)
         if vx != vy:
             assert v_true == min(vx, vy)
 
 
-def test_add_cancellation_gives_bottom():
-    p = 5
-    x = PadicNum.from_rational(1, 1, p, 4)
-    y = PadicNum.from_rational(-1, 1, p, 4)
-    assert (x + y).is_bottom()
-    assert (x + y).floor == 4
-
-
-def test_division_by_bottom_is_hard_error():
-    p = 5
-    x = PadicNum.from_rational(2, 1, p, 4)
-    bottom = PadicNum.bottom(p, 4)
+def test_shift_keeps_precision():
+    x = PadicNum.from_fraction(3, 7, 10)
+    assert (x.val, x.prec) == (0, 10)
+    moved = x.shift(-3)
+    assert (moved.val, moved.unit, moved.prec) == (-3, 3, 10)
+    assert x.shift(2).residue(12) == 3 * 49
     with pytest.raises(PrecisionExhausted):
-        x / bottom
-    with pytest.raises(ZeroDivisionError):
-        x / PadicNum.zero(p)
-
-
-def test_precision_min_rule():
-    p = 7
-    x = PadicNum.from_rational(3, 1, p, 10)
-    y = PadicNum.from_rational(5, 1, p, 4)
-    assert (x * y).prec == 4
-    assert (x + y).abs_prec() == 4
+        x.shift(2).residue(13)
+    assert repr(moved) == "(3,0,0,0,0,0,0,0,...)_7*7^-3"
 
 
 def test_residue_and_precision_errors():
-    x = PadicNum.from_rational(10, 1, 5, 3)  # 2*5, known mod 5^4
+    x = PadicNum.from_fraction(10, 5, 3)  # 2*5, known mod 5^4
     assert x.residue(4) == 10
     with pytest.raises(PrecisionExhausted):
         x.residue(5)
+    with pytest.raises(PrecisionExhausted):
+        x.unit_mod(4)
+    with pytest.raises(PreconditionFailed):
+        x.shift(-2).residue(1)
 
 
 # -- Hensel lifting ------------------------------------------------------
@@ -116,7 +96,7 @@ def brute_root_mod(f, p, k, residue_of):
 
 def start(residue, p, known=8):
     """A Hensel start: the integer residue, known to `known` digits."""
-    return PadicNum(p, "num", 0, residue, known)
+    return PadicNum(p, 0, residue, known)
 
 
 def test_hensel_sqrt2_mod7():
@@ -132,6 +112,13 @@ def test_hensel_precondition_violation():
     f = parse_poly("x^2 - 2")
     with pytest.raises(PreconditionFailed):
         hensel_lift(f, start(1, 5), prec=3)
+
+
+def test_hensel_start_must_be_a_unit():
+    # 5 = p^1 * 1 is a simple root of x^2 - 5x, but only unit starts are accepted
+    f = parse_poly("x^2 - 5*x")
+    with pytest.raises(PreconditionFailed):
+        hensel_lift(f, PadicNum(5, 1, 1, 8), prec=3)
 
 
 def test_hensel_derivative_valuation_stable():
@@ -189,13 +176,6 @@ def test_teichmuller_grid(p):
 
 
 # -- p-th roots of unity ---------------------------------------------------
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_pth_roots_of_unity(p):
-    roots = pth_roots_of_unity(p, 6)
-    assert len(roots) == 1
-    assert next(iter(roots)).residue(6) == 1
 
 
 def test_pth_roots_exhaustive_check_p7():

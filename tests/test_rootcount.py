@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from padroot import rootcount
 from padroot.errors import PreconditionFailed
 from padroot.padic import is_prime
 from padroot.rootcount import (
@@ -12,6 +13,7 @@ from padroot.rootcount import (
     HENSEL_SIMPLE,
     CountOptions,
     _heights,
+    _padic_pth_root,
     _reduce_mod_p,
     _unit_zeros,
     count_roots,
@@ -102,6 +104,43 @@ def test_torsion_multiplicity_trinomial():
     assert torsion_multiplicity(f, 3, 2) == 2   # at -1
     g = parse_poly("x^2 - 2")
     assert torsion_multiplicity(g, 5, 1) == 0
+
+
+def test_torsion_multiplicity_once_per_order(monkeypatch):
+    # (x^100 - 1)^2 at p = 101: every unit residue is a double root, and
+    # its multiplicity depends only on its order, one of the 9 divisors of 100
+    calls = []
+
+    def counted(g, p, d):
+        calls.append(d)
+        return torsion_multiplicity(g, p, d)
+
+    monkeypatch.setattr(rootcount, "torsion_multiplicity", counted)
+    report = count_roots(parse_poly("x^200 - 2*x^100 + 1"), 101, OPTS)
+    assert (report.count_distinct, report.count_with_multiplicity) == (100, 200)
+    assert report.fully_certified
+    assert sorted(calls) == [1, 2, 4, 5, 10, 20, 25, 50, 100]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_padic_pth_root_matches_brute_force(p):
+    # x^p mod p^k depends only on x mod p^(k-1), and a unit has at most one
+    # p-th root mod p^(k-1): the brute force scans that one class
+    rng = random.Random(7300 + p)
+    outcomes = set()
+    for known in (4, 5, 6):
+        mod = p**known
+        for _ in range(4):
+            power = pow(rng.randrange(1, mod // p) * p + rng.randrange(1, p), p, mod)
+            # a p-th power, the same times 1 + p (never one), any unit
+            for u in (power, power * (1 + p) % mod, rng.randrange(1, mod // p) * p + 1):
+                brute = [x for x in range(u % p, p ** (known - 1), p)
+                         if pow(x, p, mod) == u]
+                assert len(brute) <= 1
+                want = brute[0] % p ** (known - 2) if brute else None
+                assert _padic_pth_root(u, p, known) == want, (u, known)
+                outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 # -- full counting ----------------------------------------------------------
