@@ -13,13 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import CapExceeded, PreconditionFailed, ScanWindowExceeded
+from .errors import PreconditionFailed, ScanWindowExceeded
 from .padic import int_valuation, is_prime
 
-D_T_MAX_M = 40
-D_T_MAX_T = 6
 LENSTRA_RUNOUT = 20
 LENSTRA_SCAN_CAP = 400
 
@@ -92,31 +89,14 @@ def sparse_lower_bound(t: int, q: int) -> LowerBounds:
 def distinct_product_lcm(t: int, m: int) -> int:
     """lcm of all products of at most t pairwise distinct integers in [1, m].
 
-    The empty product contributes 1.  Enumerated by subset recursion with
-    the lcm accumulated early; the desk-scale caps keep the combinatorial
-    blow-up irrelevant.
+    The empty product contributes 1.  The exponent of each prime q <= m is
+    `vp_distinct_product_lcm(t, m, q)`, so no subset is enumerated and any
+    t and m are fine.
     """
     if t < 0 or m < 0:
         raise PreconditionFailed("t and m must be nonnegative")
-    if m > D_T_MAX_M or t > D_T_MAX_T:
-        raise CapExceeded(f"d_t enumeration capped at m<={D_T_MAX_M}, t<={D_T_MAX_T}")
-    return _distinct_product_lcm_cached(t, m)
-
-
-@lru_cache(maxsize=None)
-def _distinct_product_lcm_cached(t: int, m: int) -> int:
-    result = 1
-
-    def walk(start: int, remaining: int, product: int):
-        nonlocal result
-        result = math.lcm(result, product)
-        if remaining == 0:
-            return
-        for i in range(start, m + 1):
-            walk(i + 1, remaining - 1, product * i)
-
-    walk(1, t, 1)
-    return result
+    return math.prod(q ** vp_distinct_product_lcm(t, m, q)
+                     for q in range(2, m + 1) if is_prime(q))
 
 
 def _vp_factorial(i: int, p: int) -> int:

@@ -30,17 +30,10 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[Monomial, int] | None = None):
+        # stored, not copied or checked: every caller builds a fresh dict of
+        # nvars-long monomials with nonnegative exponents and nonzero coefficients
         self.nvars = nvars
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != nvars:
-                    raise InternalError(f"monomial {mono} has wrong arity, expected {nvars}")
-                if mono and min(mono) < 0:
-                    raise InternalError(f"negative exponent in monomial {mono}")
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+        self.terms = {} if terms is None else terms
 
     # -- constructors -------------------------------------------------
 
@@ -50,7 +43,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
+        return cls(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def monomial(cls, nvars: int, var: int, power: int = 1, coeff: int = 1) -> "MultiPoly":

@@ -40,7 +40,6 @@ from .padic import (
 from .sparsepoly import (
     SparsePoly,
     newton_polygon,
-    reduce_exponents_mod_torsion,
     scale_substitute,
     scaled_valuation,
     taylor_shift_truncate,
@@ -296,63 +295,53 @@ def rational_roots_with_multiplicity(g: SparsePoly, p: int, r: int, order: int,
     return sorted(found.items()), complete
 
 
+def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of dense integer polynomials, den monic."""
+    num, n = list(num), len(den) - 1
+    quot = [0] * max(len(num) - n, 0)
+    for i in reversed(range(len(quot))):
+        q = quot[i] = num[i + n]
+        if q:
+            for j, c in enumerate(den):
+                num[i + j] -= q * c
+    return quot, num[:n]
+
+
 @functools.cache
 def _cyclotomic(d: int) -> tuple[int, ...]:
     """Dense integer coefficients of the d-th cyclotomic polynomial."""
     poly = [-1] + [0] * (d - 1) + [1]  # x^d - 1
     for e in range(1, d):
         if d % e == 0:
-            poly = _dense_int_divide_exact(poly, _cyclotomic(e))
+            poly, rem = _divmod_monic(poly, _cyclotomic(e))
+            if any(rem):
+                raise InternalError("nonzero remainder in a cyclotomic division")
     return tuple(poly)  # cached: shared by every caller
 
 
-def _dense_int_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[i + len(den) - 1], den[-1])
-        if r:
-            raise InternalError("inexact dense division")
-        out[i] = q
-        for j, c in enumerate(den):
-            num[i + j] -= q * c
-    if any(num[: len(den) - 1]):
-        raise InternalError("nonzero remainder in dense division")
-    return out
-
-
-def _divisible_by_cyclotomic(g: SparsePoly, p: int, d: int) -> bool:
+def _divisible_by_cyclotomic(g: SparsePoly, d: int) -> bool:
     """Does the d-th cyclotomic polynomial divide g over Q?
 
-    Only called with d | p-1, so exponents may be folded modulo the torsion
-    first; the remainder is then an exact division of a degree < p dense
-    polynomial.
+    A primitive d-th root of unity z has z^d = 1, so g(z) is the value at z
+    of g with its denominators cleared and its exponents folded mod d: a
+    dense integer polynomial of degree < d, whose remainder by Phi_d is zero
+    exactly when g(z) is.
     """
-    folded = reduce_exponents_mod_torsion(g, p)
-    if folded.is_zero():
-        return True
-    phi = _cyclotomic(d)
-    dense = [Fraction(0)] * (folded.degree() + 1)
-    for e, c in folded.terms:
-        dense[e] = c
-    # remainder modulo the monic phi
-    for i in range(len(dense) - 1, len(phi) - 2, -1):
-        q = dense[i]
-        if not q:
-            continue
-        for j, cf in enumerate(phi):
-            dense[i - (len(phi) - 1) + j] -= q * cf
-    return not any(dense[: len(phi) - 1])
+    den = math.lcm(*(c.denominator for _, c in g.terms))
+    folded = [0] * d
+    for e, c in g.terms:
+        folded[e % d] += c.numerator * (den // c.denominator)
+    return not any(_divmod_monic(folded, _cyclotomic(d))[1])
 
 
-def torsion_multiplicity(g: SparsePoly, p: int, d: int) -> int:
+def torsion_multiplicity(g: SparsePoly, d: int) -> int:
     """Exact multiplicity of the order-d Teichmuller points as roots of g.
 
     A torsion point of exact order d is a root of g over Q_p iff its minimal
     polynomial, the d-th cyclotomic polynomial, divides g over Q; the
     multiplicity is read off the derivative chain.
     """
-    return _chain_multiplicity(g, lambda h: _divisible_by_cyclotomic(h, p, d))
+    return _chain_multiplicity(g, lambda h: _divisible_by_cyclotomic(h, d))
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +359,6 @@ def _dense_normalize(h: list[int], p: int, m_exp: int):
     return [c // p**nu % mod for c in h], new_m
 
 
-def _fp_reduce(h: list[int], p: int) -> list[int]:
-    out = [c % p for c in h]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _divide_linear(h: list[int], c: int, mod: int) -> tuple[list[int], int]:
     """Quotient and remainder of h by (y - c) modulo mod (synthetic division)."""
     quot = [0] * (len(h) - 1)
@@ -385,17 +367,6 @@ def _divide_linear(h: list[int], c: int, mod: int) -> tuple[list[int], int]:
         acc = (acc * c + h[i]) % mod
         quot[i - 1] = acc
     return quot, (acc * c + h[0]) % mod
-
-
-def _fp_order(hbar: list[int], c: int, p: int) -> int:
-    """Largest k with (y - c)^k dividing hbar over F_p."""
-    order = 0
-    while hbar:
-        hbar, rem = _divide_linear(hbar, c, p)
-        if rem:
-            break
-        order += 1
-    return order
 
 
 def _dense_newton(h: list[int], c: int, p: int, m_exp: int) -> int:
@@ -537,7 +508,8 @@ def _reduce_mod_p(g: SparsePoly, p: int) -> dict[int, int]:
 
 
 def _unit_zeros(support: dict[int, int], p: int) -> list[tuple[int, int]]:
-    """The zeros r = gamma^i in F_p^* of a reduced support, as (r, i) ascending in r.
+    """The zeros r = gamma^i in F_p^* of a support {exponent: coefficient mod p},
+    as (r, i) ascending in r: the one F_p zero finder of both refinement levels.
 
     gamma is a primitive root.  On units x^(p-1) = 1, so the exponents are
     folded mod p-1 first.  Dividing by the first folded term c0*x^e0 leaves
@@ -564,9 +536,10 @@ def _unit_zeros(support: dict[int, int], p: int) -> list[tuple[int, int]]:
 
 
 def _residue_order(support: dict[int, int], p: int, r: int) -> int:
-    """Multiplicity of the unit residue r as a root of the reduced support.
+    """Multiplicity of the unit residue r as a root of a support mod p.
 
-    The support (see `_reduce_mod_p`) is descended through
+    The support, sparse (`_reduce_mod_p`) or dense (`_local_count`), is
+    descended through
     h(x^(p^s)) = h(x)^(p^s) (Frobenius), so huge p-power exponent gcds
     never force a long derivative scan; what remains is checked with
     divided (Hasse) derivatives, Lucas for the binomials, Fermat for the
@@ -627,10 +600,10 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
         exact_points = []
         d = (p - 1) // math.gcd(i, p - 1)  # the order of r = gamma^i
         if d not in tor_mults:
-            tor_mults[d] = torsion_multiplicity(g, p, d)
+            tor_mults[d] = torsion_multiplicity(g, d)
         if tor_mults[d] > 0:
             exact_points.append((teichmuller(p, r, n), tor_mults[d], d))
-        if heights:
+        if heights and tor_mults[d] < ord0:  # else the torsion point fills the class
             rationals, _ = rational_roots_with_multiplicity(
                 g, p, r, ord0, exact_points, heights, opts)
             exact_points += [(u, mu, None) for u, mu in rationals]
@@ -671,6 +644,16 @@ def _exact_entry(g, p, point, mu, order, r, m, nu, n) -> RootEntry:
                      val_fprime=val_fprime)
 
 
+def _digit_zeros(h: list[int], p: int) -> list[tuple[int, int]]:
+    """The zeros of the dense h mod p, as (digit, order) ascending in digit."""
+    support = {k: c % p for k, c in enumerate(h) if c % p}
+    if not support:
+        raise InternalError("normalized local polynomial vanished mod p")
+    low = min(support)  # the order of the digit 0
+    zeros = [(0, low)] if low else []
+    return zeros + [(r, _residue_order(support, p, r)) for r, _ in _unit_zeros(support, p)]
+
+
 def _local_count(h, p, m_exp, depth, center, level, g, m, nu, opts, inherited_bound):
     """Count Z_p-roots of the dense local polynomial h (truncated mod p^m_exp).
 
@@ -684,14 +667,8 @@ def _local_count(h, p, m_exp, depth, center, level, g, m, nu, opts, inherited_bo
     if normalized is None or new_m < MIN_WORKING_PREC:
         return entries, [UnresolvedCluster(m, center, level, inherited_bound,
                                            opts.depth - depth, "precision")]
-    hbar = _fp_reduce(normalized, p)
-    if not hbar:
-        raise InternalError("normalized local polynomial vanished mod p")
 
-    for digit in range(p):
-        k = _fp_order(hbar, digit, p)
-        if k == 0:
-            continue
+    for digit, k in _digit_zeros(normalized, p):
         new_center = center + digit * p**level
         if k == 1:
             y = _dense_newton(normalized, digit, p, new_m)
@@ -728,12 +705,11 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
         g_scaled = scale_substitute(f_desc, p, x_val)
         nu = scaled_valuation(f_desc, p, x_val)
         if entry.torsion is not None:
-            # the p-th root of a torsion point is torsion of the same order
+            # a Teichmuller point is its own p-th root
             d, digit = entry.torsion
-            new_digit = pow(digit, pow(p, -1, d) if d > 1 else 1, p)
             report.entries.append(_exact_entry(
-                g_scaled, p, teichmuller(p, new_digit, n), entry.multiplicity, d,
-                new_digit, x_val, nu, n))
+                g_scaled, p, teichmuller(p, digit, n), entry.multiplicity, d,
+                digit, x_val, nu, n))
             continue
         exact = (_rational_pth_root(entry.rational, p)
                  if entry.rational is not None else None)
@@ -761,10 +737,20 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
             report.unresolved.append(UnresolvedCluster(
                 x_val, root_res % p**2, 2, 1, 0, "precision"))
     for cluster in inner.unresolved:
+        # the x with x^p in p^v*(c + p^L Z_p): none unless p | v and the class
+        # holds a p-th power of a unit; then p^(v/p)*(x0 + p^(L-1) Z_p) with
+        # x0^p = c, or c + pZ_p itself when L = 1, as x^p = x mod p
+        center, level = cluster.center, cluster.level
+        if cluster.valuation % p:
+            continue
+        if level > 1:
+            root = _padic_pth_root(center, p, max(level + 1, 4))
+            if root is None:
+                continue
+            center, level = root % p ** (level - 1), level - 1
         report.unresolved.append(UnresolvedCluster(
-            cluster.valuation, cluster.center, cluster.level,
-            cluster.upper_bound, cluster.depth_reached,
-            f"descended: {cluster.reason}"))
+            cluster.valuation // p, center, level, cluster.upper_bound,
+            cluster.depth_reached, f"descended: {cluster.reason}"))
     report.entries.sort(key=RootEntry.sort_key)
     return report
 

@@ -157,20 +157,6 @@ def scaled_valuation(f: SparsePoly, p: int, m: int) -> int:
     return min(fraction_valuation(c, p) + m * e for e, c in f.terms)
 
 
-def reduce_exponents_mod_torsion(f: SparsePoly, p: int) -> SparsePoly:
-    """Fold positive exponents into [1, p-1] modulo p-1, merging collisions.
-
-    Agrees with f at every (p-1)-th root of unity.  The constant term keeps
-    exponent zero so it never merges with unit-torsion terms.  The result
-    may be the zero polynomial (then every torsion point is a root).
-    """
-    data: dict[int, Fraction] = {}
-    for e, c in f.terms:
-        folded = 0 if e == 0 else (e - 1) % (p - 1) + 1
-        data[folded] = data.get(folded, Fraction(0)) + c
-    return SparsePoly.from_dict(data)
-
-
 def taylor_shift_truncate(pairs, r: int, p: int, n: int) -> list[int]:
     """Dense coefficients of h(r + p*y) modulo p^n, truncated where forced zero.
 

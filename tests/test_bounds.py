@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from padroot.errors import CapExceeded, PreconditionFailed
+from padroot.errors import PreconditionFailed
 from padroot.bounds import (
     FieldParams,
     LENSTRA_CONSTANT,
@@ -113,18 +113,16 @@ def test_d_t_divisibility_grid():
             assert distinct_product_lcm(t + 1, m) % distinct_product_lcm(t, m) == 0
 
 
-def test_d_t_cap():
-    with pytest.raises(CapExceeded):
-        distinct_product_lcm(7, 10)
-    with pytest.raises(CapExceeded):
-        distinct_product_lcm(2, 100)
+def test_d_t_beyond_the_old_enumeration_caps():
+    assert distinct_product_lcm(7, 10) == subset_product_lcm_oracle(7, 10)
+    assert distinct_product_lcm(2, 100) == subset_product_lcm_oracle(2, 100)
 
 
 def test_vp_shortcut_matches_enumeration():
     for p in (2, 3, 5):
         for t in range(0, 4):
             for m in range(0, 13):
-                full = distinct_product_lcm(t, m)
+                full = subset_product_lcm_oracle(t, m)
                 v = 0
                 while full % p == 0:
                     full //= p

@@ -62,6 +62,14 @@ def test_bounds_not_applicable(capsys):
     assert "not applicable" in out
 
 
+def test_bounds_beyond_t_6(capsys):
+    code, out, err = run(capsys, ["--format", "structured", "bounds", "--t", "7", "--p", "11"])
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    assert doc["bounds"]["d_t_table"]["7"] == 5040
+    assert doc["bounds"]["d_t_table"]["10"] == 2**8 * 3**4 * 5**2 * 7
+
+
 def test_newton_polygon_command(capsys):
     code, out, _ = run(capsys, ["newton-polygon", "--p", "3",
                                 "--poly", "x^20-10*x^2+9"])
@@ -215,6 +223,14 @@ def test_exactly_accounted_class_is_not_a_cluster(capsys):
     assert code == EXIT_OK, err
     assert "unresolved" not in out
     assert "1/2 [mult 2, ExactRational]" in out
+
+
+def test_descent_without_pth_powers_exits_0(capsys):
+    code, out, err = run(capsys, ["count-roots", "--p", "3",
+                                  "--poly", "x^12 - 14*x^6 + 49"])
+    assert code == EXIT_OK, err
+    assert "unresolved" not in out
+    assert "distinct=0 with_multiplicity=0 upper_bound=0" in out
 
 
 @pytest.mark.parametrize("command", [

@@ -54,6 +54,8 @@ DESCENT = [
     (5, "x^50 - 3*x^25 + 2"),
     (5, "x^10 - 8*x^5 + 7"),  # 7 is an irrational 5th power in Q_5
     (3, "x^9 - 10"),  # 10 has a cube root in Q_3, which has none
+    (3, "x^12 - 2*x^6 + 1"),  # (x^6 - 1)^2: descended double torsion roots
+    (3, "x^6 - 20*x^3 + 100"),  # (x^3 - 10)^2: cube root of a double root
 ]
 
 

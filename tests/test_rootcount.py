@@ -6,7 +6,7 @@ import pytest
 
 from padroot import rootcount
 from padroot.errors import PreconditionFailed
-from padroot.padic import is_prime
+from padroot.padic import is_prime, teichmuller
 from padroot.rootcount import (
     EXACT_RATIONAL,
     EXACT_TORSION,
@@ -100,10 +100,10 @@ def test_rational_roots_exact():
 
 def test_torsion_multiplicity_trinomial():
     f = parse_poly("x^20 - 10*x^2 + 9")
-    assert torsion_multiplicity(f, 3, 1) == 2   # at 1
-    assert torsion_multiplicity(f, 3, 2) == 2   # at -1
+    assert torsion_multiplicity(f, 1) == 2   # at 1
+    assert torsion_multiplicity(f, 2) == 2   # at -1
     g = parse_poly("x^2 - 2")
-    assert torsion_multiplicity(g, 5, 1) == 0
+    assert torsion_multiplicity(g, 1) == 0
 
 
 def test_torsion_multiplicity_once_per_order(monkeypatch):
@@ -111,15 +111,74 @@ def test_torsion_multiplicity_once_per_order(monkeypatch):
     # its multiplicity depends only on its order, one of the 9 divisors of 100
     calls = []
 
-    def counted(g, p, d):
+    def counted(g, d):
         calls.append(d)
-        return torsion_multiplicity(g, p, d)
+        return torsion_multiplicity(g, d)
 
     monkeypatch.setattr(rootcount, "torsion_multiplicity", counted)
     report = count_roots(parse_poly("x^200 - 2*x^100 + 1"), 101, OPTS)
     assert (report.count_distinct, report.count_with_multiplicity) == (100, 200)
     assert report.fully_certified
     assert sorted(calls) == [1, 2, 4, 5, 10, 20, 25, 50, 100]
+
+
+@pytest.mark.parametrize("p, text, searched", [
+    (101, "x^200 - 2*x^100 + 1", False),  # double torsion points fill their classes
+    (5, "81*x^3 - 279*x^2 + 112*x - 12", True),  # the double rational root 2/9
+])
+def test_rational_search_only_where_torsion_leaves_room(monkeypatch, p, text, searched):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return rational_roots_with_multiplicity(*args)
+
+    monkeypatch.setattr(rootcount, "rational_roots_with_multiplicity", counted)
+    report = count_roots(parse_poly(text), p, OPTS)
+    assert report.fully_certified
+    assert bool(calls) == searched
+
+
+def test_torsion_multiplicity_q5_example():
+    # x^2504 - 626*x^4 + 625 and its derivative vanish on the 4th roots of
+    # unity; the second derivative is 2504*2500 there
+    f = parse_poly("x^2504 - 626*x^4 + 625")
+    assert [torsion_multiplicity(f, d) for d in (1, 2, 4)] == [2, 2, 2]
+
+
+def test_torsion_multiplicity_of_the_torsion_polynomial():
+    for p in (3, 5, 7, 11):
+        f = parse_poly(f"x^{p - 1} - 1")
+        for d in range(1, p):
+            if (p - 1) % d == 0:
+                assert torsion_multiplicity(f, d) == 1, (p, d)
+
+
+def test_torsion_multiplicity_agrees_with_teichmuller_evaluation():
+    # g(zeta) is an algebraic integer of norm below p^30 unless it is 0, so
+    # vanishing mod p^30 at the order-d Teichmuller points decides the root
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(60):
+        p = rng.choice([3, 5, 7])
+        data = {}
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randint(0, 200)] = Fraction(rng.randint(-9, 9) or 1)
+        if rng.random() < 0.5:
+            # times x^e - 1: vanish on the e-th roots of unity
+            e = rng.choice([1, 2, 3, 6])
+            product = {k: -c for k, c in data.items()}
+            for k, c in data.items():
+                product[k + e] = product.get(k + e, 0) + c
+            data = {k: c for k, c in product.items() if c}
+        f = SparsePoly.from_dict(data)
+        for a in range(1, p):
+            d = _brute_order(a, p)
+            xi = teichmuller(p, a, 30).residue(30)
+            vanishes = f.eval_mod(xi, p, 30) == 0
+            assert (torsion_multiplicity(f, d) > 0) == vanishes, (f.terms, p, d)
+            seen.add(vanishes)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -189,6 +248,53 @@ def test_count_pth_power_descent():
     assert report.fully_certified
     assert report.count_distinct == 2
     assert {e.value.unit_mod(1) for e in report.entries} == {1, 2}
+
+
+@pytest.mark.parametrize("text, valuation", [
+    ("x^12 - 20*x^6 + 100", 0),
+    ("x^12 - 14580*x^6 + 53144100", 1),  # 3^12 * ((x/3)^12 - 20*(x/3)^6 + 100)
+])
+def test_descended_clusters_are_in_x_coordinates(text, valuation):
+    # (x^6 - 10)^2 at 3: the inner y^4 - 20*y^2 + 100 = (y^2 - 10)^2 leaves
+    # the double roots +-sqrt(10) as clusters at level 10; their cube roots
+    # are the classes of 1928 and 17755 mod 3^9, whose sixth powers are 10
+    report = count_roots(parse_poly(text), 3, OPTS)
+    assert report.entries == []
+    assert [(c.valuation, c.center, c.level, c.upper_bound)
+            for c in report.unresolved] == [(valuation, 1928, 9, 2), (valuation, 17755, 9, 2)]
+    assert all(pow(c.center, 6, 3**10) == 10 for c in report.unresolved)
+
+
+def test_descent_drops_clusters_holding_no_pth_power():
+    # the inner (y^2 - 7)^2 has double roots +-sqrt(7) = +-4 mod 9, but unit
+    # cubes are +-1 mod 9: neither cluster holds y = x^3, and x^6 = 7 has no
+    # solution in Q_3
+    report = count_roots(parse_poly("x^12 - 14*x^6 + 49"), 3, OPTS)
+    assert report.entries == [] and report.unresolved == []
+
+
+def test_descended_clusters_hold_exactly_the_oracle_roots():
+    # f(x) = h(x^p), h = (y^2 - a*p^(2ps))^2 * (y + b): irrational double
+    # roots of valuation ps stay clusters of h; each reported cluster of f
+    # must hold a root of f, and together with the entries they hold all
+    rng = random.Random(8080)
+    valuations = set()
+    for _ in range(60):
+        p, s = rng.choice([3, 5]), rng.choice([0, 0, 1])
+        a, b = rng.choice([-1, 1]) * rng.randint(2, 60), rng.randint(-20, 20) or 1
+        c = -a * p ** (2 * p * s)
+        h = {0: c * c * b, 1: c * c, 2: 2 * c * b, 3: 2 * c, 4: b, 5: 1}
+        f = SparsePoly.from_dict({e * p: Fraction(v) for e, v in h.items() if v})
+        report = count_roots(f, p, OPTS)
+        rest = oracle_root_classes(f, p, 6)[0] - report_classes(report, 6)
+        for cluster in report.unresolved:
+            inside = {(m, u) for m, u in rest if m == cluster.valuation
+                      and (u - cluster.center) % p ** min(cluster.level, 6) == 0}
+            assert 0 < len(inside) <= cluster.upper_bound, (f.terms, p, cluster)
+            rest -= inside
+            valuations.add(cluster.valuation)
+        assert not rest, (f.terms, p, rest)
+    assert valuations == {0, 1}
 
 
 def test_count_rational_double_root():
@@ -342,6 +448,60 @@ def test_unit_zeros_when_folded_terms_all_cancel(p):
                   [(5 * p * (p - 1), 3), (p - 1, -1), (0, -2)]):
         zeros = _unit_zeros(_reduce_mod_p(_poly(terms), p), p)
         assert [r for r, _ in zeros] == list(range(1, p))
+
+
+def _brute_digit_zeros(h, p):
+    """(digit, order) of every zero of h mod p, by synthetic division."""
+    hbar = [c % p for c in h]
+    while hbar and hbar[-1] == 0:
+        hbar.pop()
+    zeros = []
+    for digit in range(p):
+        order, rest = 0, hbar
+        while len(rest) > 1:
+            quot, acc = [], 0
+            for c in reversed(rest):
+                acc = (acc * digit + c) % p
+                quot.append(acc)
+            if quot.pop():
+                break
+            order, rest = order + 1, quot[::-1]
+        if order:
+            zeros.append((digit, order))
+    return zeros
+
+
+def _dense_product(factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_digit_zeros_match_synthetic_division(p):
+    rng = random.Random(4100 + p)
+    kinds = set()
+    for case in range(60):
+        factors = [[rng.randint(-50, 50) for _ in range(rng.randint(1, 8))] or [1]]
+        for _ in range(rng.randint(0, 4)):
+            # a repeated digit, the digit 0 among them
+            digit = rng.choice([0, rng.randrange(p)])
+            factors += [[-digit + p * rng.randint(-3, 3), 1]] * rng.randint(1, 4)
+        if case % 5 == 0:
+            factors.append([-1] + [0] * (p - 2) + [1])  # every unit is a zero
+        h = _dense_product(factors)[:41]
+        if all(c % p == 0 for c in h):
+            continue
+        want = _brute_digit_zeros(h, p)
+        assert rootcount._digit_zeros(h, p) == want, (h, p)
+        kinds.update(("repeated" if k > 1 else "simple", d == 0) for d, k in want)
+        kinds.add(("all units", len([d for d, _ in want if d]) == p - 1))
+    assert {("repeated", True), ("repeated", False), ("all units", True)} <= kinds
 
 
 # -- oracle equivalence (mini corpus; the full run is in acceptance) ---------

@@ -12,7 +12,6 @@ from padroot.sparsepoly import (
     parse_poly,
     poly_from_obj,
     poly_to_obj,
-    reduce_exponents_mod_torsion,
     scale_substitute,
     taylor_shift_truncate,
 )
@@ -217,39 +216,6 @@ def test_taylor_shift_consistency_random():
         direct = sum(c * pow(x, e, modulus) for e, c in pairs) % modulus
         via_shift = sum(h[k] * pow(y0, k, modulus) for k in range(len(h))) % modulus
         assert direct == via_shift
-
-
-def test_reduce_exponents_trinomial():
-    f = parse_poly("x^20 - 10*x^2 + 9")
-    g = reduce_exponents_mod_torsion(f, 3)
-    assert g.terms == ((0, Fraction(9)), (2, Fraction(-9)))
-
-
-def test_reduce_exponents_fixed_point():
-    for p in (3, 5, 7):
-        f = parse_poly(f"x^{p - 1} - 1")
-        assert reduce_exponents_mod_torsion(f, p).terms == f.terms
-
-
-def test_reduce_exponents_q5_example():
-    f = parse_poly("x^2504 - 626*x^4 + 625")
-    g = reduce_exponents_mod_torsion(f, 5)
-    assert g.terms == ((0, Fraction(625)), (4, Fraction(-625)))
-
-
-def test_reduce_exponents_agrees_at_torsion_points():
-    rng = random.Random(77)
-    for _ in range(40):
-        p = rng.choice([3, 5, 7])
-        data = {}
-        for _ in range(rng.randint(1, 4)):
-            data[rng.randint(0, 200)] = Fraction(rng.randint(-9, 9) or 1)
-        f = SparsePoly.from_dict(data)
-        g = reduce_exponents_mod_torsion(f, p)
-        n = 8
-        for a in range(1, p):
-            xi = teichmuller(p, a, n).residue(n)
-            assert f.eval_mod(xi, p, n) == g.eval_mod(xi, p, n)
 
 
 def test_derivative_examples():
