@@ -38,10 +38,10 @@ from .padic import (
     teichmuller,
 )
 from .sparsepoly import (
+    ModImage,
     SparsePoly,
     newton_polygon,
     scale_substitute,
-    scaled_valuation,
     taylor_shift_truncate,
 )
 
@@ -207,7 +207,7 @@ def _heights(f: SparsePoly, p: int, m: int) -> _Heights | None:
     return _Heights(a_max, b_max, digits)
 
 
-def _rational_label(g: SparsePoly, p: int, heights: _Heights, unit: int,
+def _rational_label(g: ModImage, heights: _Heights, unit: int,
                     known: int) -> Fraction | None:
     """The rational root u of g (unit coordinates) with u = unit mod p^known.
 
@@ -218,6 +218,7 @@ def _rational_label(g: SparsePoly, p: int, heights: _Heights, unit: int,
     matches all known digits, its numerator and denominator divide a_max
     and b_max, and it makes g vanish exactly.
     """
+    p = g.p
     a_max, b_max, digits = heights
     r0, r1, t0, t1 = p**digits, unit % p**digits, 0, 1
     while r1 > a_max:
@@ -230,10 +231,10 @@ def _rational_label(g: SparsePoly, p: int, heights: _Heights, unit: int,
         return None
     if (u.numerator - unit * u.denominator) % p**known:
         return None
-    return u if g.eval_exact(u) == 0 else None
+    return u if g.vanishes_at(u) else None
 
 
-def _chain_multiplicity(g: SparsePoly, vanishes) -> int:
+def _chain_multiplicity(g: ModImage, vanishes) -> int:
     """How many of g, g', g'', ... vanish at an exact point: its multiplicity.
 
     Bounded by the term count, as any nonzero root of a (t+1)-nomial has
@@ -247,7 +248,7 @@ def _chain_multiplicity(g: SparsePoly, vanishes) -> int:
     raise InternalError("multiplicity exceeded the term-count bound")
 
 
-def rational_roots_with_multiplicity(g: SparsePoly, p: int, r: int, order: int,
+def rational_roots_with_multiplicity(g: ModImage, r: int, order: int,
                                      torsion, heights: _Heights,
                                      opts: CountOptions):
     """The rational roots of g in the unit residue class r, with multiplicities.
@@ -272,26 +273,26 @@ def rational_roots_with_multiplicity(g: SparsePoly, p: int, r: int, order: int,
         gj = g
         for _ in range(j):
             gj = gj.derivative()
-        gj = scale_substitute(gj, p, 0)
+        gj = gj.normalized()
         known = [(point, mu - j, d) for point, mu, d in torsion if mu > j]
         known += [(u, mu - j, None) for u, mu in found.items() if mu > j]
         entries, resolved = [], False
         for n in sorted({opts.prec, lift_to}):
             try:
-                h, m_exp = _class_poly(gj, p, r, n, known)
+                h, m_exp = _class_poly(gj, g.p, r, n, known)
             except PrecisionExhausted:
                 continue
             entries, clusters = _local_count(
-                h, p, m_exp, opts.depth, r, 1, gj, 0, 0,
+                h, m_exp, opts.depth, r, 1, gj,
                 CountOptions(lift_to, opts.depth), inherited_bound=0)
             resolved = not clusters
             if resolved:
                 break
         complete = complete and resolved
         for entry in entries:
-            u = _rational_label(g, p, heights, entry.value.unit_mod(lift_to), lift_to)
+            u = _rational_label(g, heights, entry.value.unit_mod(lift_to), lift_to)
             if u is not None and u not in found:
-                found[u] = _chain_multiplicity(g, lambda h: h.eval_exact(u) == 0)
+                found[u] = _chain_multiplicity(g, lambda h: h.vanishes_at(u))
     return sorted(found.items()), complete
 
 
@@ -334,14 +335,19 @@ def _divisible_by_cyclotomic(g: SparsePoly, d: int) -> bool:
     return not any(_divmod_monic(folded, _cyclotomic(d))[1])
 
 
-def torsion_multiplicity(g: SparsePoly, d: int) -> int:
+def torsion_multiplicity(g: ModImage, d: int) -> int:
     """Exact multiplicity of the order-d Teichmuller points as roots of g.
 
     A torsion point of exact order d is a root of g over Q_p iff its minimal
     polynomial, the d-th cyclotomic polynomial, divides g over Q; the
-    multiplicity is read off the derivative chain.
+    multiplicity is read off the derivative chain.  Each derivative is first
+    evaluated at one order-d Teichmuller point mod p^N, where a root's value
+    is 0, and is tested for divisibility only when that value is 0.
     """
-    return _chain_multiplicity(g, lambda h: _divisible_by_cyclotomic(h, d))
+    p = g.p
+    zeta = teichmuller(p, pow(_primitive_root(p), (p - 1) // d, p))
+    return _chain_multiplicity(g, lambda h: h.eval_mod(zeta.unit, p, zeta.prec) == 0
+                               and _divisible_by_cyclotomic(h.exact(), d))
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +437,10 @@ def _torsion_rational(order: int, p: int, m: int) -> Fraction | None:
 # the counter
 
 
-def _hensel_entry(g: SparsePoly, p: int, start: int, known: int, m: int, nu: int,
-                  prec: int, heights: _Heights | None = None) -> RootEntry:
-    """The entry of the simple root p^m * u, u the root of g that `hensel_lift`
-    reaches from `start`, a unit residue known to `known` digits.
+def _hensel_entry(g: ModImage, start: int, known: int, prec: int,
+                  heights: _Heights | None = None) -> RootEntry:
+    """The entry of the simple root p^g.m * u, u the root of g that
+    `hensel_lift` reaches from `start`, a unit residue known to `known` digits.
 
     Evaluation stays modular, so lacunary exponents in the millions never
     appear in exact powers.  With heights, u is labelled when rational: a
@@ -442,6 +448,7 @@ def _hensel_entry(g: SparsePoly, p: int, start: int, known: int, m: int, nu: int
     one.  The label may need more digits than the report keeps; the lift to
     them, cut back to prec digits, is the root lifted to prec.
     """
+    p, m = g.p, g.m
     lift_to = max(prec, heights.digits) if heights else prec
     root, cert = hensel_lift(g, PadicNum(p, 0, start, known), prec=lift_to)
     entry = RootEntry(
@@ -449,11 +456,11 @@ def _hensel_entry(g: SparsePoly, p: int, start: int, known: int, m: int, nu: int
         valuation=m,
         multiplicity=1,
         certificate=HENSEL_SIMPLE,
-        val_fprime=nu - m + cert.val_fprime_r0,
+        val_fprime=g.nu - m + cert.val_fprime_r0,
         hensel=cert,
     )
     if heights:
-        unit = _rational_label(g, p, heights, root.unit_mod(lift_to), lift_to)
+        unit = _rational_label(g, heights, root.unit_mod(lift_to), lift_to)
         if unit is not None:
             entry.rational = unit * Fraction(p) ** m
     return entry
@@ -571,16 +578,15 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
 
     f0 has a nonzero constant term and minimum coefficient valuation 0, and
     m is the integral root valuation of one of its Newton-polygon segments.
-    The zeros of the reduction of the rescaled polynomial g are the first
-    digits of the roots: simple ones are Hensel-lifted, multiple ones are
-    cleared of their exact points and refined.  Returns (entries, clusters).
+    The zeros of the reduction of g, the rescaled polynomial's `ModImage`,
+    are the first digits of the roots: simple ones are Hensel-lifted, multiple
+    ones are cleared of their exact points and refined.  Returns (entries, clusters).
     """
-    g = scale_substitute(f0, p, m)
+    g = ModImage.scaled(f0, p, m)
     support = _reduce_mod_p(g, p)
     zeros = _unit_zeros(support, p)
     if not zeros:
         return [], []  # no root has valuation m: skip the set-up below
-    nu = scaled_valuation(f0, p, m)
     heights = _heights(f0, p, m)
     n = opts.prec
     entries: list[RootEntry] = []
@@ -592,7 +598,7 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
     for r, i in zeros:
         ord0 = _residue_order(support, p, r)
         if ord0 == 1:
-            entries.append(_hensel_entry(g, p, r, n + 8, m, nu, n, heights))
+            entries.append(_hensel_entry(g, r, n + 8, n, heights))
             continue
 
         # exactly representable roots of this residue class, as
@@ -605,11 +611,11 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
             exact_points.append((teichmuller(p, r, n), tor_mults[d], d))
         if heights and tor_mults[d] < ord0:  # else the torsion point fills the class
             rationals, _ = rational_roots_with_multiplicity(
-                g, p, r, ord0, exact_points, heights, opts)
+                g, r, ord0, exact_points, heights, opts)
             exact_points += [(u, mu, None) for u, mu in rationals]
 
         for point, mu, order in exact_points:
-            entries.append(_exact_entry(g, p, point, mu, order, r, m, nu, n))
+            entries.append(_exact_entry(g, point, mu, order, r, n))
 
         # the class holds exactly ord0 roots over C_p; when the exact points
         # do not account for all of them, deflate those and keep looking
@@ -619,9 +625,7 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
         try:
             h, m_exp = _class_poly(g, p, r, n, exact_points)
             sub_entries, sub_clusters = _local_count(
-                h, p, m_exp, opts.depth, r, 1, g, m, nu, opts,
-                inherited_bound=remaining,
-            )
+                h, m_exp, opts.depth, r, 1, g, opts, inherited_bound=remaining)
         except PrecisionExhausted:
             sub_entries = []
             sub_clusters = [UnresolvedCluster(m, r, 1, remaining, 0, "precision")]
@@ -630,11 +634,12 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
     return entries, clusters
 
 
-def _exact_entry(g, p, point, mu, order, r, m, nu, n) -> RootEntry:
-    """The entry of the exact point p^m * point: torsion of the given order
+def _exact_entry(g: ModImage, point, mu, order, r, n) -> RootEntry:
+    """The entry of the exact point p^g.m * point: torsion of the given order
     with first digit r, or a rational when order is None."""
+    p, m = g.p, g.m
     dv = g.derivative().eval_mod(_point_mod(point, p, n), p, n) if mu == 1 else 0
-    val_fprime = nu - m + int_valuation(dv, p) if dv else None
+    val_fprime = g.nu - m + int_valuation(dv, p) if dv else None
     if order is None:
         rational = point * Fraction(p) ** m
         return RootEntry(PadicNum.from_fraction(rational, p, n), m, mu, EXACT_RATIONAL,
@@ -654,13 +659,14 @@ def _digit_zeros(h: list[int], p: int) -> list[tuple[int, int]]:
     return zeros + [(r, _residue_order(support, p, r)) for r, _ in _unit_zeros(support, p)]
 
 
-def _local_count(h, p, m_exp, depth, center, level, g, m, nu, opts, inherited_bound):
+def _local_count(h, m_exp, depth, center, level, g: ModImage, opts, inherited_bound):
     """Count Z_p-roots of the dense local polynomial h (truncated mod p^m_exp).
 
     `center`/`level` track the unit-coordinate class center + p^level Z_p
     this polynomial describes; certified roots are polished against the
     sparse g before being reported.
     """
+    p, m = g.p, g.m
     entries: list[RootEntry] = []
     clusters: list[UnresolvedCluster] = []
     normalized, new_m = _dense_normalize(h, p, m_exp)
@@ -674,7 +680,7 @@ def _local_count(h, p, m_exp, depth, center, level, g, m, nu, opts, inherited_bo
             y = _dense_newton(normalized, digit, p, new_m)
             x_res = (center + p**level * y) % p ** (level + new_m)
             try:
-                entries.append(_hensel_entry(g, p, x_res, level + new_m, m, nu, opts.prec))
+                entries.append(_hensel_entry(g, x_res, level + new_m, opts.prec))
             except (PreconditionFailed, PrecisionExhausted):
                 clusters.append(UnresolvedCluster(m, new_center, level + 1, 1,
                                                   opts.depth - depth, "precision"))
@@ -684,8 +690,8 @@ def _local_count(h, p, m_exp, depth, center, level, g, m, nu, opts, inherited_bo
                                               opts.depth, "depth"))
             continue
         shifted = taylor_shift_truncate(enumerate(normalized), digit, p, new_m)
-        sub_e, sub_c = _local_count(shifted, p, new_m, depth - 1, new_center,
-                                    level + 1, g, m, nu, opts, inherited_bound=k)
+        sub_e, sub_c = _local_count(shifted, new_m, depth - 1, new_center,
+                                    level + 1, g, opts, inherited_bound=k)
         entries.extend(sub_e)
         clusters.extend(sub_c)
     return entries, clusters
@@ -702,21 +708,19 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
         if entry.valuation % p:
             continue
         x_val = entry.valuation // p
-        g_scaled = scale_substitute(f_desc, p, x_val)
-        nu = scaled_valuation(f_desc, p, x_val)
+        g_scaled = ModImage.scaled(f_desc, p, x_val)
         if entry.torsion is not None:
             # a Teichmuller point is its own p-th root
             d, digit = entry.torsion
             report.entries.append(_exact_entry(
-                g_scaled, p, teichmuller(p, digit, n), entry.multiplicity, d,
-                digit, x_val, nu, n))
+                g_scaled, teichmuller(p, digit, n), entry.multiplicity, d, digit, n))
             continue
         exact = (_rational_pth_root(entry.rational, p)
                  if entry.rational is not None else None)
         if exact is not None:
             report.entries.append(_exact_entry(
-                g_scaled, p, exact / Fraction(p) ** x_val, entry.multiplicity, None,
-                None, x_val, nu, n))
+                g_scaled, exact / Fraction(p) ** x_val, entry.multiplicity, None,
+                None, n))
             continue
         # generic: the p-adic p-th root of the unit part, if any
         avail = min(entry.value.prec, n)
@@ -731,8 +735,7 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
                 "pth-root of a multiple root"))
             continue
         try:
-            report.entries.append(_hensel_entry(g_scaled, p, root_res, avail - 2,
-                                                x_val, nu, n))
+            report.entries.append(_hensel_entry(g_scaled, root_res, avail - 2, n))
         except (PreconditionFailed, PrecisionExhausted):
             report.unresolved.append(UnresolvedCluster(
                 x_val, root_res % p**2, 2, 1, 0, "precision"))

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .errors import DuplicateExponent, InternalError, ParseError, PreconditionFailed
-from .padic import fraction_valuation
+from .padic import fraction_valuation, int_valuation
 
 
 class SparsePoly:
@@ -89,8 +89,7 @@ class SparsePoly:
     def residues(self, p: int, k: int) -> list[tuple[int, int]]:
         """(exponent, coefficient mod p^k) pairs; coefficients must be p-integral.
 
-        Reduced once per modulus: Newton steps evaluate at one modulus, and
-        rescaled coefficients can have millions of bits.
+        Reduced once per modulus: Newton steps evaluate at one modulus.
         """
         modulus = p**k
         if modulus not in self._residues:
@@ -140,28 +139,103 @@ def scale_substitute(f: SparsePoly, p: int, m: int) -> SparsePoly:
     """Substitute x -> p^m x, then normalize to minimum coefficient valuation 0.
 
     Roots map by r -> r / p^m with multiplicities preserved; a root of
-    valuation m of f becomes a unit root of the result.
+    valuation m of f becomes a unit root of the result.  The coefficients
+    are materialised exactly: on lacunary inputs p^(m e) has millions of
+    bits, so the counter works on a `ModImage` and calls this only where an
+    exact statement needs the polynomial itself.
     """
     if f.is_zero():
         return f
-    low = scaled_valuation(f, p, m)
+    # v(c p^(m e)) = v(c) + m e: the huge powers are never scanned for factors
+    low = min(fraction_valuation(c, p) + m * e for e, c in f.terms)
     return SparsePoly((e, c * Fraction(p) ** (m * e - low)) for e, c in f.terms)
 
 
-def scaled_valuation(f: SparsePoly, p: int, m: int) -> int:
-    """The minimum coefficient valuation of f(p^m x), divided out by `scale_substitute`.
+SCREEN_PRIME = 2**61 - 1
 
-    Computed structurally: v(c p^(m e)) = v(c) + m e, so the huge
-    intermediate powers are never themselves scanned for factors.
+
+class ModImage:
+    """A p-integral polynomial held as (exponent, unit part, shift) per term.
+
+    The coefficient of x^e is unit * p^shift with the unit prime to p, so a
+    residue mod p^k costs O(log k) however large the shift, and a term whose
+    shift reaches k is 0 mod p^k.  `scaled(f, p, m)` is the image of
+    scale_substitute(f, p, m) = f(p^m x) / p^nu with no p^(m e) ever built;
+    the polynomial itself, `exact()`, is built through `scale_substitute`
+    on first use.  Derived images keep p, m and nu, their source's scale.
     """
-    return min(fraction_valuation(c, p) + m * e for e, c in f.terms)
+
+    __slots__ = ("p", "m", "nu", "terms", "_build", "_exact", "_residues")
+    is_zero, sparsity = SparsePoly.is_zero, SparsePoly.sparsity  # they read only `terms`
+
+    def __init__(self, p: int, m: int, nu: int, terms, build):
+        self.p, self.m, self.nu, self.terms = p, m, nu, tuple(terms)
+        self._build, self._exact, self._residues = build, None, {}
+
+    @classmethod
+    def scaled(cls, f: SparsePoly, p: int, m: int) -> "ModImage":
+        split = [(e, c, fraction_valuation(c, p)) for e, c in f.terms]
+        nu = min(v + m * e for e, _, v in split)
+        return cls(p, m, nu, [(e, c / Fraction(p) ** v, v + m * e - nu) for e, c, v in split],
+                   lambda: scale_substitute(f, p, m))
+
+    def exact(self) -> SparsePoly:
+        if self._exact is None:
+            self._exact = self._build()
+        return self._exact
+
+    def residues(self, p: int, k: int) -> list[tuple[int, int]]:
+        """(exponent, coefficient mod p^k) pairs, reduced once per modulus."""
+        modulus = p**k
+        if modulus not in self._residues:
+            self._residues[modulus] = [
+                (e, u.numerator * pow(u.denominator, -1, modulus) * p**s % modulus
+                 if s < k else 0)
+                for e, u, s in self.terms]
+        return self._residues[modulus]
+
+    def eval_mod(self, x: int, p: int, k: int) -> int:
+        """`SparsePoly.eval_mod`, looked up at each call, so that a wrapper
+        on it (perfbench's tracer) sees these evaluations too."""
+        return SparsePoly.eval_mod(self, x, p, k)
+
+    def derivative(self) -> "ModImage":
+        """e * unit * p^shift = (e / p^v(e)) * unit * p^(shift + v(e))."""
+        terms = []
+        for e, u, s in self.terms:
+            if e:
+                v = int_valuation(e, self.p)
+                terms.append((e - 1, u * (e // self.p**v), s + v))
+        return ModImage(self.p, self.m, self.nu, terms, lambda: self.exact().derivative())
+
+    def normalized(self) -> "ModImage":
+        """The minimum shift divided out, as scale_substitute(exact, p, 0) does."""
+        low = min(s for _, _, s in self.terms)
+        return ModImage(self.p, self.m, self.nu, [(e, u, s - low) for e, u, s in self.terms],
+                        lambda: scale_substitute(self.exact(), self.p, 0))
+
+    def vanishes_at(self, x: Fraction) -> bool:
+        """Whether the polynomial vanishes at the rational x, exactly.
+
+        A root stays a root mod any prime q dividing no denominator, so a
+        nonzero value mod q = SCREEN_PRIME rejects x in O(terms * log degree);
+        the exact value is computed only when that one is 0 or undefined.
+        """
+        q = SCREEN_PRIME
+        if all(den % q for den in [x.denominator] + [u.denominator for _, u, _ in self.terms]):
+            xq = x.numerator * pow(x.denominator, -1, q) % q
+            if sum(u.numerator * pow(u.denominator, -1, q) * pow(self.p, s, q) * pow(xq, e, q)
+                   for e, u, s in self.terms) % q:
+                return False
+        return self.exact().eval_exact(x) == 0
 
 
 def taylor_shift_truncate(pairs, r: int, p: int, n: int) -> list[int]:
     """Dense coefficients of h(r + p*y) modulo p^n, truncated where forced zero.
 
     h is given by (exponent, integer coefficient) pairs in increasing
-    exponent order -- `SparsePoly.residues` or `enumerate` of a dense list.
+    exponent order -- the `residues` of a SparsePoly or a ModImage, or
+    `enumerate` of a dense list.
     Coefficient k carries a factor p^k, so only k < n can contribute a unit;
     the list has min(deg h, n-1) + 1 entries.  Binomials are exact integers;
     the powers r^(e-k) are built from the top down, one `pow` per term.

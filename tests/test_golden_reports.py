@@ -7,7 +7,8 @@ counter returned (the structured document keeps only 12 unit digits per
 root; the fields keep all of them, the precision, the `repr` the human
 report prints and the Hensel witness).  The inputs are seeded criterion-6
 polynomials at p = 3, 5, 7 and 11, the fixed lacunary-bigp polynomials of
-the benchmark, rational-reconstruction edge cases and p-th-root descents.
+the benchmark, rational-reconstruction edge cases, p-th-root descents and exact and
+simple roots away from valuation 0.
 A change that alters any of it must regenerate the file and say why in
 CHANGES.md:
 
@@ -58,6 +59,16 @@ DESCENT = [
     (3, "x^6 - 20*x^3 + 100"),  # (x^3 - 10)^2: cube root of a double root
 ]
 
+SHIFTED = [
+    # exact points and Hensel roots away from valuation 0: each is counted
+    # on the polynomial rescaled to its valuation
+    (5, "x^8 - 1250*x^4 + 390625"),  # (x^4 - 625)^2: double torsion at valuation 1
+    (5, "x^3 - 152*x^2 + 5925*x - 11250"),  # (x - 75)^2 (x - 2): double rational 75
+    (5, "625*x^4 - 1"),  # four simple roots of valuation -1
+    # the (2, 7) tower member: simple roots at valuations 0 and 1
+    (7, "x^705900 + 1/117648*x^6 + 157774040966226142650024287/117648"),
+]
+
 
 def golden_inputs() -> list[tuple[str, int, str]]:
     cases = []
@@ -69,6 +80,7 @@ def golden_inputs() -> list[tuple[str, int, str]]:
     cases += [(f"lacunary p={p} {text[:40]}", p, text) for p, text in LACUNARY]
     cases += [(f"edge p={p} {text[:40]}", p, text) for p, text in EDGE]
     cases += [(f"descent p={p} {text}", p, text) for p, text in DESCENT]
+    cases += [(f"shifted p={p} {text[:40]}", p, text) for p, text in SHIFTED]
     return cases
 
 

@@ -175,6 +175,14 @@ def test_teichmuller_grid(p):
         assert len({pt.residue(1) for pt in points}) == p - 1
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_teichmuller_is_the_limit_of_p_powers(p):
+    # x^(p^(N-1)) mod p^N is the Teichmuller point of x, for every residue
+    for n in (1, 2, 3, 8, 13):
+        for a in range(1, p):
+            assert teichmuller(p, a, n).residue(n) == pow(a, p ** (n - 1), p**n), (a, n)
+
+
 # -- p-th roots of unity ---------------------------------------------------
 
 

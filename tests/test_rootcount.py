@@ -22,7 +22,7 @@ from padroot.rootcount import (
     torsion_multiplicity,
     verify_upper_bounds,
 )
-from padroot.sparsepoly import SparsePoly, newton_polygon, parse_poly, scale_substitute
+from padroot.sparsepoly import ModImage, SparsePoly, newton_polygon, parse_poly, scale_substitute
 
 from oracle import oracle_root_classes, report_classes
 
@@ -88,7 +88,7 @@ def test_rational_roots_exact():
     # the class-local search: 1/2 = 3 mod 5 is a double root in the class 3
     f = parse_poly("4*x^2 - 4*x + 1")
     roots, complete = rational_roots_with_multiplicity(
-        f, 5, 3, 2, [], _heights(f, 5, 0), OPTS)
+        ModImage.scaled(f, 5, 0), 3, 2, [], _heights(f, 5, 0), OPTS)
     assert complete
     assert roots == [(Fraction(1, 2), 2)]
     assert _labels(count_roots(f, 5, OPTS)) == {Fraction(1, 2): 2}
@@ -99,10 +99,10 @@ def test_rational_roots_exact():
 
 
 def test_torsion_multiplicity_trinomial():
-    f = parse_poly("x^20 - 10*x^2 + 9")
+    f = ModImage.scaled(parse_poly("x^20 - 10*x^2 + 9"), 3, 0)
     assert torsion_multiplicity(f, 1) == 2   # at 1
     assert torsion_multiplicity(f, 2) == 2   # at -1
-    g = parse_poly("x^2 - 2")
+    g = ModImage.scaled(parse_poly("x^2 - 2"), 3, 0)
     assert torsion_multiplicity(g, 1) == 0
 
 
@@ -130,7 +130,7 @@ def test_rational_search_only_where_torsion_leaves_room(monkeypatch, p, text, se
     calls = []
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return rational_roots_with_multiplicity(*args)
 
     monkeypatch.setattr(rootcount, "rational_roots_with_multiplicity", counted)
@@ -142,13 +142,13 @@ def test_rational_search_only_where_torsion_leaves_room(monkeypatch, p, text, se
 def test_torsion_multiplicity_q5_example():
     # x^2504 - 626*x^4 + 625 and its derivative vanish on the 4th roots of
     # unity; the second derivative is 2504*2500 there
-    f = parse_poly("x^2504 - 626*x^4 + 625")
+    f = ModImage.scaled(parse_poly("x^2504 - 626*x^4 + 625"), 5, 0)
     assert [torsion_multiplicity(f, d) for d in (1, 2, 4)] == [2, 2, 2]
 
 
 def test_torsion_multiplicity_of_the_torsion_polynomial():
     for p in (3, 5, 7, 11):
-        f = parse_poly(f"x^{p - 1} - 1")
+        f = ModImage.scaled(parse_poly(f"x^{p - 1} - 1"), p, 0)
         for d in range(1, p):
             if (p - 1) % d == 0:
                 assert torsion_multiplicity(f, d) == 1, (p, d)
@@ -176,7 +176,8 @@ def test_torsion_multiplicity_agrees_with_teichmuller_evaluation():
             d = _brute_order(a, p)
             xi = teichmuller(p, a, 30).residue(30)
             vanishes = f.eval_mod(xi, p, 30) == 0
-            assert (torsion_multiplicity(f, d) > 0) == vanishes, (f.terms, p, d)
+            image = ModImage.scaled(f, p, 0)
+            assert (torsion_multiplicity(image, d) > 0) == vanishes, (f.terms, p, d)
             seen.add(vanishes)
     assert seen == {True, False}
 
@@ -580,6 +581,58 @@ def test_torsion_closure_property():
             xi = teichmuller(5, a, 12).residue(12)
             scaled = xi * e.value.unit_mod(12) % 5**12
             assert f.eval_mod(scaled * pow(5, max(e.valuation, 0), 5**12), 5, 10) == 0
+
+
+def _times(f, g):
+    out = {}
+    for e, c in f.terms:
+        for k, d in g.terms:
+            out[e + k] = out.get(e + k, 0) + c * d
+    return SparsePoly.from_dict(out)
+
+
+def _planted_cases(seed, count):
+    """(f, p, m, mu, kind, planted): (x^d - p^(m d))^mu, which vanishes at
+    every p^m * zeta with zeta^d = 1, or (b x - a p^m)^mu, times a random
+    cofactor, for m in -2..2 and mu in 1..3."""
+    from oracle import random_sparse_poly
+
+    rng = random.Random(seed)
+    for case in range(count):
+        p = rng.choice([3, 5, 7])
+        m, mu = case % 5 - 2, case // 5 % 3 + 1
+        if case // 15 % 2:
+            d = rng.choice([d for d in range(1, p) if (p - 1) % d == 0])
+            factor, kind, planted = _poly([(d, 1), (0, -Fraction(p) ** (m * d))]), "torsion", d
+        else:
+            a, b = (rng.choice([k for k in range(1, 12) if k % p]) for _ in range(2))
+            planted = rng.choice([-1, 1]) * Fraction(a, b) * Fraction(p) ** m
+            factor, kind = _poly([(1, planted.denominator), (0, -planted.numerator)]), "rational"
+        f = random_sparse_poly(rng, max_terms=3, max_exp=4, coeff_bound=9)
+        for _ in range(mu):
+            f = _times(f, factor)
+        yield f, p, m, mu, kind, planted
+
+
+def test_planted_exact_roots_match_oracle():
+    # torsion points and rationals of valuation -2..2 at multiplicity 1..3:
+    # every modular screen in front of an exact test keeps the true root
+    for f, p, m, mu, kind, planted in _planted_cases(1102, 90):
+        report = count_roots(f, p, OPTS)
+        expected, total_mult = oracle_root_classes(f, p, 6)
+        assert report_classes(report, 6) <= expected, f.terms
+        if report.fully_certified:
+            assert report_classes(report, 6) == expected, f.terms
+            assert report.count_with_multiplicity == total_mult, f.terms
+        if kind == "rational":
+            assert any(e.rational == planted and e.multiplicity >= mu
+                       for e in report.entries), (f.terms, p, planted)
+        elif mu > 1:
+            for a in range(1, p):
+                if pow(a, planted, p) == 1:
+                    assert any(e.torsion is not None and e.valuation == m
+                               and e.value.unit_mod(1) == a and e.multiplicity >= mu
+                               for e in report.entries), (f.terms, p, a)
 
 
 # -- rational labels: oracle, metamorphic relations, reconstruction edges -----

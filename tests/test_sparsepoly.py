@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from padroot.errors import DuplicateExponent, ParseError, PreconditionFailed
-from padroot.padic import teichmuller
+from padroot.padic import fraction_valuation, teichmuller
 from padroot.sparsepoly import (
+    ModImage,
     SparsePoly,
     format_poly,
     newton_polygon,
@@ -166,6 +167,61 @@ def test_scale_substitute_slope_shift():
         assert [s.length for s in before.segments] == [
             s.length for s in after.segments
         ]
+
+
+def _random_image_case(rng):
+    """(f, p, m, k): p-powers in numerators and denominators, m in -2..2."""
+    p = rng.choice([3, 5, 7])
+    data = {}
+    for _ in range(rng.randint(1, 5)):
+        num = rng.choice([-1, 1]) * rng.randint(1, 30) * p ** rng.randint(0, 4)
+        den = rng.randint(1, 12) * p ** rng.choice([0, 0, 1, 3])
+        data[rng.randint(0, 40)] = Fraction(num, den)
+    return SparsePoly.from_dict(data), p, rng.randint(-2, 2), rng.randint(1, 6)
+
+
+def test_mod_image_matches_scale_substitute():
+    # residues, values, derivative chains and normalization of the image
+    # equal those of the materialised rescaling, at every modulus
+    rng = random.Random(1101)
+    seen = {"m < 0": 0, "p | den": 0, "shift >= k": 0}
+    for _ in range(300):
+        f, p, m, k = _random_image_case(rng)
+        image, g = ModImage.scaled(f, p, m), scale_substitute(f, p, m)
+        assert (image.p, image.m) == (p, m)
+        assert image.nu == min(fraction_valuation(c, p) + m * e for e, c in f.terms)
+        seen["m < 0"] += m < 0
+        seen["p | den"] += any(c.denominator % p == 0 for _, c in f.terms)
+        while not g.is_zero():
+            seen["shift >= k"] += any(s >= k for _, _, s in image.terms)
+            assert image.exact().terms == g.terms
+            assert image.residues(p, k) == g.residues(p, k)
+            x = rng.randrange(p**k)
+            assert image.eval_mod(x, p, k) == g.eval_mod(x, p, k)
+            normalized = scale_substitute(g, p, 0)
+            assert image.normalized().residues(p, k) == normalized.residues(p, k)
+            assert image.normalized().exact().terms == normalized.terms
+            image, g = image.derivative(), g.derivative()
+        assert image.is_zero()
+    assert min(seen.values()) > 20, seen
+
+
+def test_mod_image_vanishing_is_exact():
+    # rational points: screened mod 2^61 - 1, decided by exact evaluation;
+    # q = 2^61 - 1 itself as a denominator skips the screen
+    q = 2**61 - 1
+    for text, x, vanishes in [
+        ("9*x^2 - 4", Fraction(2, 3), True),
+        ("9*x^2 - 4", Fraction(-2, 3), True),
+        ("9*x^2 - 4", Fraction(4, 3), False),
+        (f"{q}*x - 1", Fraction(1, q), True),
+        (f"{q}*x - 1", Fraction(2, q), False),
+        (f"x - 1/{q}", Fraction(1, q), True),
+        (f"x - {q + 1}", Fraction(1), False),  # 0 mod q, not 0
+    ]:
+        f = parse_poly(text)
+        for p in (3, 5):
+            assert ModImage.scaled(f, p, 0).vanishes_at(x) == vanishes, (text, x, p)
 
 
 def test_residues_once_per_modulus():

@@ -1,12 +1,18 @@
-"""Every function the benchmark tracer wraps by name still exists.
+"""Every function the benchmark tracer wraps by name still exists, and a
+traced run reports every metric.
 
 `perfbench/tracer.py` rebinds padroot functions by (module, attribute path)
-for `perfbench/run.py --trace 1`; a rename in padroot would break that run
-without failing any other test.
+for `perfbench/run.py --trace 1`; a rename in padroot, or a change to what a
+traced function returns, would break that run without failing any other
+test.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -28,3 +34,36 @@ def test_every_traced_name_resolves():
             assert hasattr(target, part), f"padroot.{module}.{path}"
             target = getattr(target, part)
         assert callable(target), f"padroot.{module}.{path}"
+
+
+TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+active = tracer.Tracer()
+active.install()
+from padroot.extremal import build_family
+from padroot.rootcount import count_roots
+from padroot.sparsepoly import parse_poly
+count_roots(parse_poly("5*x^200000 + 3*x^100 - " + str(10007**100)), 10007)
+build_family(2, 3)
+print(json.dumps({"names": tracer.metric_names(), "summary": active.summary()}))
+"""
+
+
+def test_traced_run_reports_every_metric():
+    # `--trace 1` installs the tracer in a fresh interpreter; do the same on
+    # the valuation-shifted lacunary input and a tower build, so that a
+    # change to what a traced function returns fails here, not in the run
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACER)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    summary = result["summary"]
+    missing = [name for name in result["names"]
+               if name != "trace.overhead_s" and name not in summary]
+    assert not missing
+    assert summary["sparsepoly.scale_substitute.calls"] > 0
+    assert summary["sparsepoly.scale_substitute.max_coeff_bits"] < 10**4
