@@ -4,9 +4,11 @@ A counted root is reported as p^val * unit with the unit known modulo
 p^prec (`PadicNum`); it comes from a Newton (Hensel) lift whose witness
 v(f(r0)) > 2 v(f'(r0)) is checked before any iteration (`hensel_lift`), or
 from an exact point -- a Teichmuller representative (`teichmuller`) or a
-rational.  Valuations of exactly known rationals are exact, which is what
-the Newton-polygon machinery relies on.  `solve_power_congruences` finds
-the exponent chains the tower builder needs.
+rational.  These two lifts, the p-th-root descent and the dense local lift
+all run `newton_lift`, which doubles the digits known per step and evaluates
+f and f' together, one `pow` per term.  Valuations of exactly known
+rationals are exact, which is what the Newton-polygon machinery relies on.
+`solve_power_congruences` finds the exponent chains the tower builder needs.
 """
 
 from __future__ import annotations
@@ -141,20 +143,49 @@ class PadicNum:
         return f"({body},...)_{self.p}*{self.p}^{self.val}"
 
 
+def eval_with_derivative(pairs, x: int, modulus: int) -> tuple[int, int]:
+    """f(x) and f'(x) mod `modulus` from f's (exponent, coefficient) pairs, one
+    `pow` per term: x^(e-1) gives both c*x^e and e*c*x^(e-1)."""
+    value = slope = 0
+    for e, c in pairs:
+        if e:
+            power = pow(x, e - 1, modulus)
+            value += c * power * x
+            slope += e * c * power
+        else:
+            value += c
+    return value % modulus, slope % modulus
+
+
+def newton_lift(pairs, p: int, r: int, v: int, known: int, target: int) -> int:
+    """The simple root of f that r is within p^-known of, modulo p^target.
+
+    `pairs(k)` gives f's (exponent, coefficient mod p^k) pairs; v(f'(r)) = v < known.
+    A step r -> r - f(r)/f'(r) raises known to 2 known - v and needs f and f'
+    only mod p^(known + v) for the new known: the modulus grows with the digits.
+    """
+    if known <= v:
+        raise InternalError("Newton start not closer to the root than p^-v(f')")
+    shift = p**v
+    while known < target:
+        # f(r) / p^v = 0 mod p^known: f'(r) / p^v is needed mod p^(known - v) only
+        half, known = p ** (known - v), min(2 * known - v, target)
+        fv, dv = eval_with_derivative(pairs(known + v), r, p ** (known + v))
+        if dv % shift or dv // shift % p == 0:
+            raise InternalError("derivative valuation drifted during lifting")
+        r = (r - fv // shift * pow(dv // shift, -1, half)) % p**known
+    return r % p**target
+
+
 def teichmuller(p: int, residue: int, prec: int = DEFAULT_PRECISION) -> PadicNum:
     """The unique (p-1)-th root of unity congruent to `residue` mod p.
 
-    Newton's method on x^(p-1) - 1, whose roots are simple as p does not
-    divide p - 1: x -> x ((p-2) y + 1) / ((p-1) y), y = x^(p-1), doubles the
-    digits known at each step.
+    The Newton lift of x^(p-1) - 1 from the residue: its roots are simple,
+    as p does not divide p - 1.
     """
     if not 1 <= residue <= p - 1:
         raise PreconditionFailed(f"residue {residue} not in [1, p-1]")
-    x, known = residue, 1
-    while known < prec:
-        known = min(2 * known, prec)
-        y = pow(x, p - 1, p**known)
-        x = x * ((p - 2) * y + 1) * pow((p - 1) * y, -1, p**known) % p**known
+    x = newton_lift(lambda _: ((0, -1), (p - 1, 1)), p, residue, 0, 1, prec)
     if pow(x, p - 1, p**prec) != 1:
         raise InternalError("Teichmuller iteration failed to converge")
     return PadicNum(p, 0, x, prec)
@@ -164,12 +195,12 @@ def hensel_lift(f, r0: PadicNum, prec: int = DEFAULT_PRECISION):
     """Newton-lift an approximate root to a certified simple root.
 
     `f` must behave like a polynomial with p-integral coefficients: it
-    needs `eval_mod(x, p, k)` and `derivative()`.  The start r0 must be a
-    p-adic unit (val 0), known to r0.prec digits; the root it reaches is a
-    unit too, as it agrees with r0 mod p.  The precondition
-    v(f(r0)) > 2 v(f'(r0)) is verified before any iteration; the returned
-    root r satisfies f(r) = 0 mod p^prec and inherits v(f'(r)) = v(f'(r0)),
-    so it is a simple root.
+    needs `residues(p, k)`, its (exponent, coefficient mod p^k) pairs.  The
+    start r0 must be a p-adic unit (val 0), known to r0.prec digits; the
+    root it reaches is a unit too, as it agrees with r0 mod p.  The
+    precondition v(f(r0)) > 2 v(f'(r0)) is verified before any iteration;
+    the returned root r satisfies f(r) = 0 mod p^prec and inherits
+    v(f'(r)) = v(f'(r0)), so it is a simple root.
 
     Returns (root, certificate) where the certificate records r0 and the
     two valuations.
@@ -177,10 +208,9 @@ def hensel_lift(f, r0: PadicNum, prec: int = DEFAULT_PRECISION):
     p = r0.p
     if r0.val != 0:
         raise PreconditionFailed("Hensel start must be a p-adic unit")
-    fprime = f.derivative()
     probe = min(r0.prec, prec + 8)
-    fv = f.eval_mod(r0.unit_mod(probe), p, probe)
-    dv = fprime.eval_mod(r0.unit_mod(probe), p, probe)
+    x = r0.unit_mod(probe)
+    fv, dv = eval_with_derivative(f.residues(p, probe), x, p**probe)
     if dv == 0:
         raise PrecisionExhausted("cannot see v(f'(r0)) at this precision")
     val_fp = int_valuation(dv, p)
@@ -197,31 +227,9 @@ def hensel_lift(f, r0: PadicNum, prec: int = DEFAULT_PRECISION):
         raise PreconditionFailed(
             f"Hensel precondition fails: v(f(r0))={val_f} <= 2*v(f'(r0))={2 * val_fp}"
         )
-
-    # Any lift of r0 into Z/p^work lies in the same Newton basin (the root is
-    # closer to r0 than p^val_fp), so the iteration below recovers the full
-    # target precision from f itself regardless of r0's own precision.
-    work = prec + 2 * val_fp + 4
-    modulus = p**work
-    r = r0.unit_mod(min(r0.prec, work))
-
-    for _ in range(2 * work.bit_length() + 8):
-        fv = f.eval_mod(r, p, work)
-        if fv == 0 or int_valuation(fv, p) >= prec + val_fp:
-            break
-        dv = fprime.eval_mod(r, p, work)
-        v_d = int_valuation(dv, p)
-        if v_d != val_fp:
-            raise InternalError("derivative valuation drifted during lifting")
-        shift = p**v_d
-        step_mod = p ** (work - v_d)
-        t = (fv // shift) * pow(dv // shift, -1, step_mod) % step_mod
-        r = (r - t) % modulus
-    else:
-        raise InternalError("Newton iteration failed to converge")
-
-    rel = min(prec, work - val_fp)
-    return PadicNum(p, 0, r % p**rel, rel), ApproxRootCertificate(r0, val_f, val_fp)
+    # r0 is within p^-(v(f(r0)) - v(f'(r0))) of the root
+    root = newton_lift(lambda k: f.residues(p, k), p, x, val_fp, val_f - val_fp, prec)
+    return PadicNum(p, 0, root, prec), ApproxRootCertificate(r0, val_f, val_fp)
 
 
 class ApproxRootCertificate:

@@ -32,9 +32,11 @@ from .errors import InternalError, PrecisionExhausted, PreconditionFailed
 from .padic import (
     ApproxRootCertificate,
     PadicNum,
+    eval_with_derivative,
     hensel_lift,
     int_valuation,
     is_prime,
+    newton_lift,
     teichmuller,
 )
 from .sparsepoly import (
@@ -355,11 +357,11 @@ def torsion_multiplicity(g: ModImage, d: int) -> int:
 
 
 def _dense_normalize(h: list[int], p: int, m_exp: int):
-    """Divide out the minimum coefficient valuation; None if all vanish."""
-    vals = [int_valuation(c, p) for c in h if c]
-    if not vals:
+    """Divide out the least coefficient valuation, v(gcd); None if all vanish."""
+    content = math.gcd(*h)
+    if not content:
         return None, None
-    nu = min(vals)
+    nu = int_valuation(content, p)
     new_m = m_exp - nu
     mod = p**new_m
     return [c // p**nu % mod for c in h], new_m
@@ -373,22 +375,6 @@ def _divide_linear(h: list[int], c: int, mod: int) -> tuple[list[int], int]:
         acc = (acc * c + h[i]) % mod
         quot[i - 1] = acc
     return quot, (acc * c + h[0]) % mod
-
-
-def _dense_newton(h: list[int], c: int, p: int, m_exp: int) -> int:
-    """Lift a simple residue root of h to a root modulo p^m_exp."""
-    mod = p**m_exp
-    hp = [k * coeff % mod for k, coeff in enumerate(h)][1:]
-    y = c % p
-    for _ in range(2 * m_exp.bit_length() + 6):
-        fy = _divide_linear(h, y, mod)[1]
-        if fy == 0:
-            break
-        dy = _divide_linear(hp, y, mod)[1]
-        if dy % p == 0:
-            raise InternalError("simple residue root lost its simplicity")
-        y = (y - fy * pow(dy, -1, mod)) % mod
-    return y
 
 
 def _deflate(h: list[int], ystar: int, mult: int, p: int, m_exp: int) -> list[int]:
@@ -638,7 +624,7 @@ def _exact_entry(g: ModImage, point, mu, order, r, n) -> RootEntry:
     """The entry of the exact point p^g.m * point: torsion of the given order
     with first digit r, or a rational when order is None."""
     p, m = g.p, g.m
-    dv = g.derivative().eval_mod(_point_mod(point, p, n), p, n) if mu == 1 else 0
+    dv = eval_with_derivative(g.residues(p, n), _point_mod(point, p, n), p**n)[1]
     val_fprime = g.nu - m + int_valuation(dv, p) if dv else None
     if order is None:
         rational = point * Fraction(p) ** m
@@ -677,7 +663,7 @@ def _local_count(h, m_exp, depth, center, level, g: ModImage, opts, inherited_bo
     for digit, k in _digit_zeros(normalized, p):
         new_center = center + digit * p**level
         if k == 1:
-            y = _dense_newton(normalized, digit, p, new_m)
+            y = newton_lift(lambda _: enumerate(normalized), p, digit, 0, 1, new_m)
             x_res = (center + p**level * y) % p ** (level + new_m)
             try:
                 entries.append(_hensel_entry(g, x_res, level + new_m, opts.prec))
@@ -724,7 +710,13 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
             continue
         # generic: the p-adic p-th root of the unit part, if any
         avail = min(entry.value.prec, n)
-        root_res = _padic_pth_root(entry.value.unit_mod(avail), p, avail)
+        try:
+            root_res = _padic_pth_root(entry.value.unit_mod(avail), p, avail)
+        except PrecisionExhausted:
+            # x^p = x mod p: a p-th root would lie in the class of the first digit
+            report.unresolved.append(UnresolvedCluster(
+                x_val, entry.value.unit_mod(1), 1, entry.multiplicity, 0, "precision"))
+            continue
         if root_res is None:
             continue
         if entry.multiplicity > 1:
@@ -785,9 +777,9 @@ def _padic_pth_root(u: int, p: int, known: int) -> int | None:
     """The p-th root of the unit u mod p^(known-2), or None if there is none.
 
     u, known mod p^known, is a p-th power in Z_p iff u = a^p mod p^2 for
-    a = u mod p.  Then r0 = a + p*((u - a^p)/p^2 mod p) has r0^p = u mod p^3
-    while v(p*r0^(p-1)) = 1, so one Hensel lift of x^p - u from r0 gives
-    the root, which u mod p^known determines mod p^(known-1).
+    a = u mod p.  Then r0 = a + p*((u - a^p)/p^2 mod p) is the root mod p^2,
+    as (a + p*b)^p = a^p + p^2*b mod p^3, and v(p*r0^(p-1)) = 1: `newton_lift`
+    of x^p - u from r0 gives the root, determined mod p^(known-1) by u.
     """
     if known < 4:
         raise PrecisionExhausted("need at least 4 digits to extract p-th roots")
@@ -796,9 +788,7 @@ def _padic_pth_root(u: int, p: int, known: int) -> int | None:
     if gap % p**2:
         return None
     r0 = a + p * (gap // p**2 % p)
-    root, _ = hensel_lift(SparsePoly([(0, -u), (p, 1)]), PadicNum(p, 0, r0, 3),
-                          prec=known - 2)
-    return root.unit_mod(known - 2)
+    return newton_lift(lambda _: ((0, -u), (p, 1)), p, r0, 1, 2, known - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ class SparsePoly:
     def residues(self, p: int, k: int) -> list[tuple[int, int]]:
         """(exponent, coefficient mod p^k) pairs; coefficients must be p-integral.
 
-        Reduced once per modulus: Newton steps evaluate at one modulus.
+        Reduced once per modulus: Newton lifts from equal starts share moduli.
         """
         modulus = p**k
         if modulus not in self._residues:

@@ -194,6 +194,19 @@ def test_low_precision_deflation_is_a_cluster(capsys):
     assert json.loads(out)["totals"]["upper_bound_with_multiplicity"] >= 3
 
 
+@pytest.mark.parametrize("prec, p, poly, center", [
+    (3, 3, "x^9-10", 1), (1, 5, "x^25-32", 2), (2, 5, "x^25-32", 2), (3, 5, "x^25-32", 2)])
+def test_low_precision_descent_is_a_cluster(capsys, prec, p, poly, center):
+    # a p-th root needs 4 digits of its p-th power; with fewer, the class of
+    # the first digit (x^p = x mod p) is reported instead of the count aborting
+    code, out, err = run(capsys, ["--prec", str(prec), "--format", "structured",
+                                  "count-roots", "--p", str(p), "--poly", poly])
+    assert code == EXIT_PARTIAL, err
+    doc = json.loads(out)
+    assert [(c["center"], c["level"], c["upper_bound"]) for c in doc["unresolved"]] == [
+        (center, 1, 1)]
+
+
 @pytest.mark.parametrize("command", [["count-roots", "--poly", "x^2-1"],
                                      ["search", "--t", "1", "--max-exp", "4"]])
 def test_unprovable_prime_exits_1(capsys, command):

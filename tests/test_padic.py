@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from padroot.errors import PrecisionExhausted, PreconditionFailed
+from padroot.errors import InternalError, PrecisionExhausted, PreconditionFailed
 from padroot.padic import (
     PadicNum,
     fraction_valuation,
     hensel_lift,
+    newton_lift,
     solve_power_congruences,
     teichmuller,
 )
-from padroot.sparsepoly import parse_poly
+from padroot.sparsepoly import SparsePoly, parse_poly
 
 
 def test_from_rational_basics():
@@ -147,6 +148,63 @@ def test_hensel_high_precision_root_squares_back():
     root, _ = hensel_lift(f, start(3, 7), prec=30)
     r = root.residue(30)
     assert pow(r, 2, 7**30) == 2
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_hensel_lift_with_a_non_unit_derivative_from_a_non_root(j):
+    # (x - 1)^2 = 7^(2j) * 2 has the roots 1 +- 7^j y, y^2 = 2 in Z_7, where
+    # f' = 2 (x - 1) has valuation j.  The start 1 + 7^j * 3 is no root:
+    # f(r0) = 7^(2j) (9 - 2) has valuation 2j + 1 > 2j
+    p, prec = 7, 7
+    f = SparsePoly([(0, 1 - 2 * p ** (2 * j)), (1, -2), (2, 1)])
+    r0 = 1 + p**j * 3
+    root, cert = hensel_lift(f, start(r0, p), prec=prec)
+    assert (cert.val_f_r0, cert.val_fprime_r0) == (2 * j + 1, j)
+    # the root's digits past the 1 are the square root of 2 that starts at 3,
+    # known mod 7^(prec - j); scan that class for y^2 = 2
+    digits = prec - j
+    ys = [y for y in range(3, p**digits, p) if (y * y - 2) % p**digits == 0]
+    assert len(ys) == 1
+    assert root.residue(prec) == (1 + p**j * ys[0]) % p**prec
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_hensel_lift_digits_match_brute_force(p):
+    rng = random.Random(4100 + p)
+    k = {3: 5, 5: 4, 7: 3, 11: 3}[p]
+    lifted = 0
+    while lifted < 6:
+        coeffs = [rng.randint(-20, 20) for _ in range(rng.randint(2, 5))]
+        f = SparsePoly(enumerate(coeffs))
+        if f.is_zero():
+            continue
+        fp = f.derivative()
+        for r in range(1, p):
+            if f.eval_mod(r, p, 1) == 0 and fp.eval_mod(r, p, 1) != 0:
+                root, _ = hensel_lift(f, start(r, p, known=1), prec=k)
+                assert root.residue(k) == brute_root_mod(f, p, k, r), (coeffs, r)
+                lifted += 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_newton_lift_dense_start_at_digit_zero(p):
+    # y^2 + y + 3p on a dense coefficient list: h(0) = 0 mod p, h'(0) = 1,
+    # so the root near 0 is simple and the start digit is 0, not a unit
+    h = [3 * p, 1, 1]
+    k = 5
+    y = newton_lift(lambda _: enumerate(h), p, 0, 0, 1, k)
+    brute = [x for x in range(0, p**k, p) if (x * x + x + 3 * p) % p**k == 0]
+    assert brute == [y]
+
+
+def test_newton_lift_refuses_a_start_no_closer_than_the_derivative():
+    # x^2 - 2x + 1 - 2*7^2 at 1 + 7*3: v(f') = 1 = known gives no progress
+    pairs = ((0, 1 - 2 * 49), (1, -2), (2, 1))
+    with pytest.raises(InternalError):
+        newton_lift(lambda _: pairs, 7, 22, 1, 1, 6)
+    # claiming v(f') = 0 where it is 1 is caught at the first step
+    with pytest.raises(InternalError):
+        newton_lift(lambda _: pairs, 7, 22, 0, 3, 6)
 
 
 # -- Teichmuller ---------------------------------------------------------

@@ -66,4 +66,8 @@ def test_traced_run_reports_every_metric():
                if name != "trace.overhead_s" and name not in summary]
     assert not missing
     assert summary["sparsepoly.scale_substitute.calls"] > 0
+    # the lifts run inside these two entry points, so a refactor that routes
+    # around them would read 0 in `--trace 1` without failing anything else
+    assert summary["padic.hensel_lift.calls"] > 0
+    assert summary["padic.teichmuller.calls"] > 0
     assert summary["sparsepoly.scale_substitute.max_coeff_bits"] < 10**4
