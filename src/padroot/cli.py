@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact root counting for sparse polynomials over Q_p",
     )
     parser.add_argument("--prec", type=int, default=None,
-                        help="working precision in p-adic digits (default 40)")
+                        help="p-adic digits of each reported root (default 40); "
+                        "the working precision doubles on demand")
     parser.add_argument("--depth", type=int, default=None,
                         help="residue refinement depth (default 8)")
     parser.add_argument("--format", dest="output", choices=["human", "structured"],

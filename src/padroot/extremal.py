@@ -334,8 +334,7 @@ def _alpha_candidates(hhat, alpha_prev_top, minimum, q, opts, trace):
         for r0, y in starts:
             if budgets[r0] <= 0:
                 continue
-            chain = solve_power_congruences(r0, y, p, level,
-                                            divisor=q - 1, minimum=minimum)
+            chain = solve_power_congruences(r0, y, p, level, minimum=minimum)
             base = chain[-1]
             step = (p - 1) * p ** (level - 1)
             if base % p != alpha_prev_top % p:

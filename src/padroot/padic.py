@@ -198,8 +198,10 @@ def hensel_lift(f, r0: PadicNum, prec: int = DEFAULT_PRECISION):
     needs `residues(p, k)`, its (exponent, coefficient mod p^k) pairs.  The
     start r0 must be a p-adic unit (val 0), known to r0.prec digits; the
     root it reaches is a unit too, as it agrees with r0 mod p.  The
-    precondition v(f(r0)) > 2 v(f'(r0)) is verified before any iteration;
-    the returned root r satisfies f(r) = 0 mod p^prec and inherits
+    precondition v(f(r0)) > 2 v(f'(r0)) is verified before any iteration,
+    on f and f' at r0 modulo p^r0.prec: every digit the start carries, so
+    a start known to more digits can certify a root of larger v(f'(r0)).
+    The returned root r satisfies f(r) = 0 mod p^prec and inherits
     v(f'(r)) = v(f'(r0)), so it is a simple root.
 
     Returns (root, certificate) where the certificate records r0 and the
@@ -208,7 +210,7 @@ def hensel_lift(f, r0: PadicNum, prec: int = DEFAULT_PRECISION):
     p = r0.p
     if r0.val != 0:
         raise PreconditionFailed("Hensel start must be a p-adic unit")
-    probe = min(r0.prec, prec + 8)
+    probe = r0.prec
     x = r0.unit_mod(probe)
     fv, dv = eval_with_derivative(f.residues(p, probe), x, p**probe)
     if dv == 0:
@@ -249,27 +251,14 @@ class ApproxRootCertificate:
                 f"v(f')={self.val_fprime_r0})")
 
 
-def solve_power_congruences(r, y, p: int, depth: int,
-                            divisor: int | None = None, minimum: int = 0) -> list[int]:
-    """Exponents a_1..a_depth with r^{a_i} = y mod p^i, all divisible by `divisor`.
+def solve_power_congruences(r, y, p: int, depth: int, minimum: int = 0) -> list[int]:
+    """Exponents a_1..a_depth with r^{a_i} = y mod p^i, all divisible by p - 1.
 
     Requires r = 1 mod p but r != 1 mod p^2, and y = 1 mod p.  Each a_i is
-    congruent to a_{i-1} modulo (p-1)p^{i-2}, divisible by `divisor`
-    (which must be p^f - 1 for some f), and is the smallest admissible
-    value >= `minimum` in its congruence class.  The digit at each level is
-    found by an exhaustive scan of p candidates.
+    congruent to a_{i-1} modulo (p-1)p^{i-2}, divisible by p - 1, and is the
+    smallest admissible value >= `minimum` in its class modulo (p-1)p^{i-1}.
+    The digit at each level is found by an exhaustive scan of p candidates.
     """
-    if divisor is None:
-        divisor = p - 1
-    f_deg, q = 1, p
-    while q - 1 < divisor:
-        f_deg += 1
-        q *= p
-    if q - 1 != divisor:
-        raise PreconditionFailed(f"divisor {divisor} is not p^f - 1 for p={p}")
-    cofactor = divisor // (p - 1)  # 1 + p + ... + p^(f-1)
-
-    top = p ** (depth + 1)
     r_res = _to_residue(r, p, depth + 1)
     y_res = _to_residue(y, p, depth + 1)
     if r_res % p != 1:
@@ -292,20 +281,13 @@ def solve_power_congruences(r, y, p: int, depth: int,
             else:
                 raise InternalError("digit scan failed; preconditions violated?")
         phi = (p - 1) * p ** (i - 1)
-        if cofactor == 1:
-            k0, stride = 0, 1
-        else:
-            b = beta // (p - 1)
-            k0 = (-b) * pow(p ** (i - 1), -1, cofactor) % cofactor
-            stride = cofactor
-        alpha = beta + k0 * phi
-        step_full = stride * phi
+        alpha = beta
         if alpha < minimum:
-            alpha += -(-(minimum - alpha) // step_full) * step_full
+            alpha += -(-(minimum - alpha) // phi) * phi
         out.append(alpha)
 
     for i, alpha in enumerate(out, start=1):
-        if pow(r_res, alpha, p**i) != y_res % p**i or alpha % divisor:
+        if pow(r_res, alpha, p**i) != y_res % p**i or alpha % (p - 1):
             raise InternalError("exponent chain verification failed")
     return out
 

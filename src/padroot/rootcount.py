@@ -51,12 +51,16 @@ HENSEL_SIMPLE = "HenselSimple"
 EXACT_TORSION = "ExactTorsion"
 EXACT_RATIONAL = "ExactRational"
 
+# A local polynomial left with fewer than MIN_WORKING_PREC digits has run out;
+# the working digits then double from --prec, up to MAX_WORKING_PREC, before
+# "precision" is reported (`_on_demand`).  The cap bounds the time it takes.
 MIN_WORKING_PREC = 6
+MAX_WORKING_PREC = 320
 
 
 @dataclass
 class CountOptions:
-    prec: int = 40
+    prec: int = 40  # digits of each reported root, not the working precision
     depth: int = 8
 
 
@@ -262,15 +266,15 @@ def rational_roots_with_multiplicity(g: ModImage, r: int, order: int,
     refinement, with the exact points already known (`torsion`, as
     (point, multiplicity, order) triples, and the rational roots found at
     larger j) deflated at their multiplicities in g^(j).  Each simple root
-    is lifted to heights.digits and reconstructed (`_rational_label`).
-    Refinement runs at opts.prec, and again at heights.digits when that is
-    larger and clusters remain.  Returns ([(u, multiplicity)] ascending,
-    complete); complete is False when a refinement left a cluster, which
-    may hide a rational root.
+    is lifted to heights.digits and reconstructed (`_rational_label`); a
+    label equal to a known torsion point is that point, found again.
+    Returns ([(u, multiplicity)] ascending, complete); complete is False
+    when a refinement left a cluster, which may hide a rational root.
     """
     found: dict[Fraction, int] = {}
     complete = True
     lift_to = max(opts.prec, heights.digits)
+    torsion_points = {_torsion_rational(d, g.p, 0) for _, _, d in torsion}
     for j in reversed(range(min(order, g.sparsity()))):
         gj = g
         for _ in range(j):
@@ -278,22 +282,12 @@ def rational_roots_with_multiplicity(g: ModImage, r: int, order: int,
         gj = gj.normalized()
         known = [(point, mu - j, d) for point, mu, d in torsion if mu > j]
         known += [(u, mu - j, None) for u, mu in found.items() if mu > j]
-        entries, resolved = [], False
-        for n in sorted({opts.prec, lift_to}):
-            try:
-                h, m_exp = _class_poly(gj, g.p, r, n, known)
-            except PrecisionExhausted:
-                continue
-            entries, clusters = _local_count(
-                h, m_exp, opts.depth, r, 1, gj,
-                CountOptions(lift_to, opts.depth), inherited_bound=0)
-            resolved = not clusters
-            if resolved:
-                break
-        complete = complete and resolved
+        entries, clusters = _on_demand(functools.partial(
+            _refine_class, gj, r, known, 0, CountOptions(lift_to, opts.depth)), opts.prec)
+        complete = complete and not clusters
         for entry in entries:
             u = _rational_label(g, heights, entry.value.unit_mod(lift_to), lift_to)
-            if u is not None and u not in found:
+            if u is not None and u not in found and u not in torsion_points:
                 found[u] = _chain_multiplicity(g, lambda h: h.vanishes_at(u))
     return sorted(found.items()), complete
 
@@ -367,24 +361,19 @@ def _dense_normalize(h: list[int], p: int, m_exp: int):
     return [c // p**nu % mod for c in h], new_m
 
 
-def _divide_linear(h: list[int], c: int, mod: int) -> tuple[list[int], int]:
-    """Quotient and remainder of h by (y - c) modulo mod (synthetic division)."""
-    quot = [0] * (len(h) - 1)
-    acc = 0
-    for i in range(len(h) - 1, 0, -1):
-        acc = (acc * c + h[i]) % mod
-        quot[i - 1] = acc
-    return quot, (acc * c + h[0]) % mod
-
-
 def _deflate(h: list[int], ystar: int, mult: int, p: int, m_exp: int) -> list[int]:
     """Exact synthetic division of h by (y - ystar)^mult in Z/p^m_exp."""
+    mod = p**m_exp
     for _ in range(mult):
         if len(h) < 2:
             raise PrecisionExhausted("local polynomial truncated below the deflation degree")
-        h, rem = _divide_linear(h, ystar, p**m_exp)
-        if rem:
+        quot, acc = [0] * (len(h) - 1), 0
+        for i in range(len(h) - 1, 0, -1):
+            acc = (acc * ystar + h[i]) % mod
+            quot[i - 1] = acc
+        if (acc * ystar + h[0]) % mod:
             raise InternalError("deflation by a certified exact root left a remainder")
+        h = quot
     return h
 
 
@@ -395,21 +384,6 @@ def _point_mod(point, p: int, k: int) -> int:
             point = teichmuller(p, point.unit_mod(1), k)
         return point.residue(k)
     return point.numerator * pow(point.denominator, -1, p**k) % p**k
-
-
-def _class_poly(g: SparsePoly, p: int, r: int, n: int, exact_points):
-    """g on the class r + pZ_p as a dense polynomial in y, x = r + p*y.
-
-    Truncated mod p^(n-1), with each (point, multiplicity, order) of
-    `exact_points` divided out; returns (h, n - 1).
-    """
-    m_exp = n - 1
-    mod = p**m_exp
-    h = [c % mod for c in taylor_shift_truncate(g.residues(p, n), r, p, n)]
-    for point, mu, _ in exact_points:
-        ystar = ((_point_mod(point, p, n) - r) // p) % mod
-        h = _deflate(h, ystar, mu, p, m_exp)
-    return h, m_exp
 
 
 def _torsion_rational(order: int, p: int, m: int) -> Fraction | None:
@@ -475,14 +449,16 @@ def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> Root
     normalized = scale_substitute(stripped, p, 0)
 
     if all(e % p == 0 for e in normalized.exponents()):
-        inner = count_roots(normalized.descend_exponents(p), p, opts)
-        return _map_pth_roots(report, inner, normalized, p, opts)
+        # a p-th root's digits come from the inner root's: count those on demand
+        inner_f = normalized.descend_exponents(p)
+        report.entries, report.unresolved = _on_demand(
+            lambda n: _map_pth_roots(count_roots(inner_f, p, CountOptions(n, opts.depth)),
+                                     normalized, p, opts),
+            opts.prec)
+        return report
 
-    for seg in newton_polygon(normalized, p).segments:
-        mval = seg.root_valuation()
-        if mval.denominator != 1:
-            continue
-        entries, clusters = segment_root_count(normalized, p, int(mval), opts)
+    for m in newton_polygon(normalized, p).integer_root_valuations():
+        entries, clusters = segment_root_count(normalized, p, m, opts)
         report.entries.extend(entries)
         report.unresolved.extend(clusters)
 
@@ -606,18 +582,45 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
         # the class holds exactly ord0 roots over C_p; when the exact points
         # do not account for all of them, deflate those and keep looking
         remaining = ord0 - sum(mu for _, mu, _ in exact_points)
-        if remaining <= 0:
-            continue
-        try:
-            h, m_exp = _class_poly(g, p, r, n, exact_points)
-            sub_entries, sub_clusters = _local_count(
-                h, m_exp, opts.depth, r, 1, g, opts, inherited_bound=remaining)
-        except PrecisionExhausted:
-            sub_entries = []
-            sub_clusters = [UnresolvedCluster(m, r, 1, remaining, 0, "precision")]
-        entries.extend(sub_entries)
-        clusters.extend(sub_clusters)
+        if remaining < 0:
+            raise InternalError("exact multiplicities exceed the residue order")
+        if remaining:
+            sub_entries, sub_clusters = _on_demand(functools.partial(
+                _refine_class, g, r, exact_points, remaining, opts), n)
+            entries.extend(sub_entries)
+            clusters.extend(sub_clusters)
     return entries, clusters
+
+
+def _on_demand(attempt, n: int):
+    """attempt(n) -> (entries, clusters) at n working digits, run again at
+    twice the digits, up to MAX_WORKING_PREC, while a cluster has reason
+    "precision": the one rule that sets the working precision."""
+    while True:
+        entries, clusters = attempt(n)
+        if n >= MAX_WORKING_PREC or all(c.reason != "precision" for c in clusters):
+            return entries, clusters
+        n = min(2 * n, MAX_WORKING_PREC)
+
+
+def _refine_class(g: ModImage, r: int, exact_points, bound: int,
+                  opts: CountOptions, n: int):
+    """The at most `bound` roots of g in the unit class r + pZ_p other than
+    `exact_points`, at n working digits; entries carry opts.prec digits.
+
+    g on the class is a dense polynomial in y, x = r + p*y, truncated mod
+    p^(n-1), with each (point, multiplicity, order) of `exact_points`
+    divided out; `_local_count` refines it.
+    """
+    p, m_exp = g.p, n - 1
+    mod = p**m_exp
+    h = [c % mod for c in taylor_shift_truncate(g.residues(p, n), r, p, n)]
+    try:
+        for point, mu, _ in exact_points:
+            h = _deflate(h, ((_point_mod(point, p, n) - r) // p) % mod, mu, p, m_exp)
+    except PrecisionExhausted:
+        return [], [UnresolvedCluster(g.m, r, 1, bound, 0, "precision")]
+    return _local_count(h, m_exp, opts.depth, r, 1, g, opts, inherited_bound=bound)
 
 
 def _exact_entry(g: ModImage, point, mu, order, r, n) -> RootEntry:
@@ -687,9 +690,14 @@ def _local_count(h, m_exp, depth, center, level, g: ModImage, opts, inherited_bo
 # descent through f(x) = g(x^p)
 
 
-def _map_pth_roots(report, inner, f_desc, p, opts):
-    """Roots of f(x) = g(x^p) from the roots of g: at most one p-th root each."""
+def _map_pth_roots(inner, f_desc, p, opts):
+    """Roots of f(x) = g(x^p) from the roots of g: at most one p-th root each.
+
+    Returns (entries, clusters), entries sorted; entries carry opts.prec digits.
+    """
     n = opts.prec
+    entries: list[RootEntry] = []
+    clusters: list[UnresolvedCluster] = []
     for entry in inner.entries:
         if entry.valuation % p:
             continue
@@ -698,23 +706,23 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
         if entry.torsion is not None:
             # a Teichmuller point is its own p-th root
             d, digit = entry.torsion
-            report.entries.append(_exact_entry(
+            entries.append(_exact_entry(
                 g_scaled, teichmuller(p, digit, n), entry.multiplicity, d, digit, n))
             continue
         exact = (_rational_pth_root(entry.rational, p)
                  if entry.rational is not None else None)
         if exact is not None:
-            report.entries.append(_exact_entry(
+            entries.append(_exact_entry(
                 g_scaled, exact / Fraction(p) ** x_val, entry.multiplicity, None,
                 None, n))
             continue
         # generic: the p-adic p-th root of the unit part, if any
-        avail = min(entry.value.prec, n)
+        avail = entry.value.prec
         try:
             root_res = _padic_pth_root(entry.value.unit_mod(avail), p, avail)
         except PrecisionExhausted:
             # x^p = x mod p: a p-th root would lie in the class of the first digit
-            report.unresolved.append(UnresolvedCluster(
+            clusters.append(UnresolvedCluster(
                 x_val, entry.value.unit_mod(1), 1, entry.multiplicity, 0, "precision"))
             continue
         if root_res is None:
@@ -722,14 +730,14 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
         if entry.multiplicity > 1:
             # a multiple root at a point with no exact description: refuse to
             # certify, report the class instead
-            report.unresolved.append(UnresolvedCluster(
+            clusters.append(UnresolvedCluster(
                 x_val, root_res % p**2, 2, entry.multiplicity, 0,
                 "pth-root of a multiple root"))
             continue
         try:
-            report.entries.append(_hensel_entry(g_scaled, root_res, avail - 2, n))
+            entries.append(_hensel_entry(g_scaled, root_res, avail - 2, n))
         except (PreconditionFailed, PrecisionExhausted):
-            report.unresolved.append(UnresolvedCluster(
+            clusters.append(UnresolvedCluster(
                 x_val, root_res % p**2, 2, 1, 0, "precision"))
     for cluster in inner.unresolved:
         # the x with x^p in p^v*(c + p^L Z_p): none unless p | v and the class
@@ -743,11 +751,11 @@ def _map_pth_roots(report, inner, f_desc, p, opts):
             if root is None:
                 continue
             center, level = root % p ** (level - 1), level - 1
-        report.unresolved.append(UnresolvedCluster(
+        clusters.append(UnresolvedCluster(
             cluster.valuation // p, center, level, cluster.upper_bound,
             cluster.depth_reached, f"descended: {cluster.reason}"))
-    report.entries.sort(key=RootEntry.sort_key)
-    return report
+    entries.sort(key=RootEntry.sort_key)
+    return entries, clusters
 
 
 def _rational_pth_root(q: Fraction, p: int) -> Fraction | None:

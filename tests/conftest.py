@@ -1,0 +1,6 @@
+"""Property tests draw the same examples on every run and write no database."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")

@@ -336,7 +336,7 @@ def test_criterion_10_exponent_chain_sanity():
     checked = 0
     for _ in range(10):
         y = 1 + p * rng.randint(1, 10**6)  # admissible: y = 1 mod 5
-        alphas = solve_power_congruences(r, y, p, 6, divisor=4, minimum=0)
+        alphas = solve_power_congruences(r, y, p, 6, minimum=0)
         for i, alpha in enumerate(alphas, start=1):
             assert pow(r, alpha, p**i) == y % p**i
             assert alpha % 4 == 0

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from padroot.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, dispatch
+from padroot.sparsepoly import parse_poly
 
 
 def run(capsys, argv):
@@ -187,24 +188,32 @@ def test_poly_file_errors_exit_1(capsys, tmp_path, content):
 
 
 def test_low_precision_deflation_is_a_cluster(capsys):
-    # (x-1)(x-6)(x-2) at p = 5: one digit cannot hold the class of 1 and 6
+    # (x-1)(x-6)(x-2) at p = 5: one digit cannot hold the class of 1 and 6,
+    # so the working precision doubles until the class resolves
     code, out, err = run(capsys, ["--prec", "1", "--format", "structured", "count-roots",
                                   "--p", "5", "--poly", "x^3-9*x^2+20*x-12"])
-    assert code in (EXIT_OK, EXIT_PARTIAL), err
-    assert json.loads(out)["totals"]["upper_bound_with_multiplicity"] >= 3
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    assert doc["totals"] == {"distinct": 3, "with_multiplicity": 3,
+                             "upper_bound_with_multiplicity": 3}
+    assert sorted(e["rational"] for e in doc["entries"]) == ["1", "2", "6"]
 
 
 @pytest.mark.parametrize("prec, p, poly, center", [
     (3, 3, "x^9-10", 1), (1, 5, "x^25-32", 2), (2, 5, "x^25-32", 2), (3, 5, "x^25-32", 2)])
 def test_low_precision_descent_is_a_cluster(capsys, prec, p, poly, center):
-    # a p-th root needs 4 digits of its p-th power; with fewer, the class of
-    # the first digit (x^p = x mod p) is reported instead of the count aborting
+    # x^p = x mod p puts any root in the class center + pZ_p, which holds none
+    # mod p^4; a p-th root needs 4 digits of its p-th power, so the descended
+    # polynomial is counted again at twice the digits and the count certifies 0
+    f = parse_poly(poly)
+    assert [x for x in range(p**4) if f.eval_mod(x, p, 4) == 0] == []
+    assert [x for x in range(1, p) if f.eval_mod(x, p, 1) == 0] == [center]
     code, out, err = run(capsys, ["--prec", str(prec), "--format", "structured",
                                   "count-roots", "--p", str(p), "--poly", poly])
-    assert code == EXIT_PARTIAL, err
+    assert code == EXIT_OK, err
     doc = json.loads(out)
-    assert [(c["center"], c["level"], c["upper_bound"]) for c in doc["unresolved"]] == [
-        (center, 1, 1)]
+    assert doc["entries"] == doc["unresolved"] == []
+    assert doc["totals"]["upper_bound_with_multiplicity"] == 0
 
 
 @pytest.mark.parametrize("command", [["count-roots", "--poly", "x^2-1"],

@@ -257,8 +257,8 @@ def test_pth_roots_exhaustive_check_p7():
 
 
 def test_power_congruence_trivial_target():
-    assert solve_power_congruences(6, 1, 5, 1, divisor=4, minimum=0) == [0]
-    assert solve_power_congruences(6, 1, 5, 1, divisor=4, minimum=8) == [8]
+    assert solve_power_congruences(6, 1, 5, 1, minimum=0) == [0]
+    assert solve_power_congruences(6, 1, 5, 1, minimum=8) == [8]
 
 
 def test_power_congruence_depth_two():
@@ -279,7 +279,7 @@ def test_power_congruence_rejects_bad_base():
 
 def test_power_congruence_chain_properties():
     p = 5
-    alphas = solve_power_congruences(6, 11, p, 6, divisor=4, minimum=30)
+    alphas = solve_power_congruences(6, 11, p, 6, minimum=30)
     for i, a in enumerate(alphas, start=1):
         assert pow(6, a, p**i) == 11 % p**i
         assert a % 4 == 0 and a >= 30
@@ -287,11 +287,3 @@ def test_power_congruence_chain_properties():
         phi = (p - 1) * p ** (i - 1)
         assert (alphas[i] - alphas[i - 1]) % phi == 0
 
-
-def test_power_congruence_general_divisor():
-    # divisor p^2 - 1 exercises the CRT adjustment path (residue degree 2)
-    p = 5
-    alphas = solve_power_congruences(6, 11, p, 4, divisor=24, minimum=0)
-    for i, a in enumerate(alphas, start=1):
-        assert pow(6, a, p**i) == 11 % p**i
-        assert a % 24 == 0
