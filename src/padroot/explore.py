@@ -3,10 +3,10 @@
 Enumerates sparse polynomial candidates (exhaustively over small coefficient
 residues, or by seeded random draws), runs the certified counter on each,
 and aggregates maxima of the distinct/with-multiplicity counts.  Work is
-sharded statically by candidate index across worker processes, so the
-output is byte-identical for any worker count and any fixed seed.  Shard
-results are checkpointed as they finish; an interrupted sweep resumes from
-whatever the checkpoint holds.
+sharded statically by candidate index into `workers` shards, run on at most
+one process per CPU, so the output is byte-identical for any worker count
+and any fixed seed.  Shard results are checkpointed as they finish; an
+interrupted sweep resumes from whatever the checkpoint holds.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -186,10 +187,12 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None,
     pending = [s for s in range(workers) if s not in done]
     if pending:
         args = [(spec_dict, shard, workers) for shard in pending]
-        if workers == 1 or len(pending) == 1:
+        # workers counts the shards; the pool forks all its processes at once
+        processes = min(len(pending), os.cpu_count() or 1)
+        if processes == 1:
             results = list(map(_run_shard, args))
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=processes) as pool:
                 results = list(pool.map(_run_shard, args))
         for shard, rows in zip(pending, results):
             done[shard] = rows

@@ -4,7 +4,7 @@ A counted root is reported as p^val * unit with the unit known modulo
 p^prec (`PadicNum`); it comes from a Newton (Hensel) lift whose witness
 v(f(r0)) > 2 v(f'(r0)) is checked before any iteration (`hensel_lift`), or
 from an exact point -- a Teichmuller representative (`teichmuller`) or a
-rational.  These two lifts, the p-th-root descent and the dense local lift
+rational.  `hensel_lift`, `teichmuller` and the counter's dense local lift
 all run `newton_lift`, which doubles the digits known per step and evaluates
 f and f' together, one `pow` per term.  Valuations of exactly known
 rationals are exact, which is what the Newton-polygon machinery relies on.

@@ -429,12 +429,12 @@ def _hensel_entry(g: ModImage, start: int, known: int, prec: int,
 def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> RootReport:
     """Certified inventory of the roots of f in Q_p^*, with multiplicities.
 
-    Strategy: strip the monomial factor and the p-content, descend through
-    x -> x^p layers (each root of the inner polynomial has at most one p-th
-    root), then walk the Newton polygon grouping roots by valuation and
-    refining by residue digits.  Multiplicities above one are only ever
-    asserted at exactly representable points; anything else is returned as
-    an unresolved cluster with an upper bound.
+    Strategy: strip the monomial factor and the p-content, then walk the
+    Newton polygon grouping roots by valuation and refining by residue
+    digits.  An input f(x) = g(x^p) needs no path of its own: its residue
+    roots are zeros of order p*k (`_residue_order`).  Multiplicities above
+    one are only ever asserted at exactly representable points; anything
+    else is returned as an unresolved cluster with an upper bound.
     """
     opts = opts or CountOptions()
     if p == 2 or not is_prime(p):
@@ -447,16 +447,6 @@ def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> Root
     if stripped.num_terms() <= 1:
         return report
     normalized = scale_substitute(stripped, p, 0)
-
-    if all(e % p == 0 for e in normalized.exponents()):
-        # a p-th root's digits come from the inner root's: count those on demand
-        inner_f = normalized.descend_exponents(p)
-        report.entries, report.unresolved = _on_demand(
-            lambda n: _map_pth_roots(count_roots(inner_f, p, CountOptions(n, opts.depth)),
-                                     normalized, p, opts),
-            opts.prec)
-        return report
-
     for m in newton_polygon(normalized, p).integer_root_valuations():
         entries, clusters = segment_root_count(normalized, p, m, opts)
         report.entries.extend(entries)
@@ -508,11 +498,11 @@ def _residue_order(support: dict[int, int], p: int, r: int) -> int:
     """Multiplicity of the unit residue r as a root of a support mod p.
 
     The support, sparse (`_reduce_mod_p`) or dense (`_local_count`), is
-    descended through
-    h(x^(p^s)) = h(x)^(p^s) (Frobenius), so huge p-power exponent gcds
-    never force a long derivative scan; what remains is checked with
-    divided (Hasse) derivatives, Lucas for the binomials, Fermat for the
-    powers.
+    folded through h(x^(p^s)) = h(x)^(p^s) (Frobenius): the order at r is
+    p^s times h's, so every input whose exponents are all divisible by p
+    is counted here, and huge p-power exponent gcds never force a long
+    derivative scan.  What remains is checked with divided (Hasse)
+    derivatives, Lucas for the binomials, Fermat for the powers.
     """
     if len(support) == 1:
         return 0  # a monomial has no unit roots
@@ -684,119 +674,6 @@ def _local_count(h, m_exp, depth, center, level, g: ModImage, opts, inherited_bo
         entries.extend(sub_e)
         clusters.extend(sub_c)
     return entries, clusters
-
-
-# ---------------------------------------------------------------------------
-# descent through f(x) = g(x^p)
-
-
-def _map_pth_roots(inner, f_desc, p, opts):
-    """Roots of f(x) = g(x^p) from the roots of g: at most one p-th root each.
-
-    Returns (entries, clusters), entries sorted; entries carry opts.prec digits.
-    """
-    n = opts.prec
-    entries: list[RootEntry] = []
-    clusters: list[UnresolvedCluster] = []
-    for entry in inner.entries:
-        if entry.valuation % p:
-            continue
-        x_val = entry.valuation // p
-        g_scaled = ModImage.scaled(f_desc, p, x_val)
-        if entry.torsion is not None:
-            # a Teichmuller point is its own p-th root
-            d, digit = entry.torsion
-            entries.append(_exact_entry(
-                g_scaled, teichmuller(p, digit, n), entry.multiplicity, d, digit, n))
-            continue
-        exact = (_rational_pth_root(entry.rational, p)
-                 if entry.rational is not None else None)
-        if exact is not None:
-            entries.append(_exact_entry(
-                g_scaled, exact / Fraction(p) ** x_val, entry.multiplicity, None,
-                None, n))
-            continue
-        # generic: the p-adic p-th root of the unit part, if any
-        avail = entry.value.prec
-        try:
-            root_res = _padic_pth_root(entry.value.unit_mod(avail), p, avail)
-        except PrecisionExhausted:
-            # x^p = x mod p: a p-th root would lie in the class of the first digit
-            clusters.append(UnresolvedCluster(
-                x_val, entry.value.unit_mod(1), 1, entry.multiplicity, 0, "precision"))
-            continue
-        if root_res is None:
-            continue
-        if entry.multiplicity > 1:
-            # a multiple root at a point with no exact description: refuse to
-            # certify, report the class instead
-            clusters.append(UnresolvedCluster(
-                x_val, root_res % p**2, 2, entry.multiplicity, 0,
-                "pth-root of a multiple root"))
-            continue
-        try:
-            entries.append(_hensel_entry(g_scaled, root_res, avail - 2, n))
-        except (PreconditionFailed, PrecisionExhausted):
-            clusters.append(UnresolvedCluster(
-                x_val, root_res % p**2, 2, 1, 0, "precision"))
-    for cluster in inner.unresolved:
-        # the x with x^p in p^v*(c + p^L Z_p): none unless p | v and the class
-        # holds a p-th power of a unit; then p^(v/p)*(x0 + p^(L-1) Z_p) with
-        # x0^p = c, or c + pZ_p itself when L = 1, as x^p = x mod p
-        center, level = cluster.center, cluster.level
-        if cluster.valuation % p:
-            continue
-        if level > 1:
-            root = _padic_pth_root(center, p, max(level + 1, 4))
-            if root is None:
-                continue
-            center, level = root % p ** (level - 1), level - 1
-        clusters.append(UnresolvedCluster(
-            cluster.valuation // p, center, level, cluster.upper_bound,
-            cluster.depth_reached, f"descended: {cluster.reason}"))
-    entries.sort(key=RootEntry.sort_key)
-    return entries, clusters
-
-
-def _rational_pth_root(q: Fraction, p: int) -> Fraction | None:
-    num = _integer_pth_root(q.numerator, p)
-    den = _integer_pth_root(q.denominator, p)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _integer_pth_root(n: int, p: int) -> int | None:
-    if n == 0:
-        return 0
-    sign = 1 if n > 0 else -1  # p odd: sign passes through
-    n = abs(n)
-    # integer Newton from 2^ceil(bits/p) >= n^(1/p): decreases to floor(n^(1/p))
-    x = 1 << -(-n.bit_length() // p)
-    while True:
-        y = ((p - 1) * x + n // x ** (p - 1)) // p
-        if y >= x:
-            break
-        x = y
-    return sign * x if x**p == n else None
-
-
-def _padic_pth_root(u: int, p: int, known: int) -> int | None:
-    """The p-th root of the unit u mod p^(known-2), or None if there is none.
-
-    u, known mod p^known, is a p-th power in Z_p iff u = a^p mod p^2 for
-    a = u mod p.  Then r0 = a + p*((u - a^p)/p^2 mod p) is the root mod p^2,
-    as (a + p*b)^p = a^p + p^2*b mod p^3, and v(p*r0^(p-1)) = 1: `newton_lift`
-    of x^p - u from r0 gives the root, determined mod p^(known-1) by u.
-    """
-    if known < 4:
-        raise PrecisionExhausted("need at least 4 digits to extract p-th roots")
-    a = u % p
-    gap = u - pow(a, p, p**3)
-    if gap % p**2:
-        return None
-    r0 = a + p * (gap // p**2 % p)
-    return newton_lift(lambda _: ((0, -u), (p, 1)), p, r0, 1, 2, known - 2)
 
 
 # ---------------------------------------------------------------------------

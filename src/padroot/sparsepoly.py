@@ -128,12 +128,6 @@ class SparsePoly:
             return self, 0
         return SparsePoly((e - low, c) for e, c in self.terms), low
 
-    def descend_exponents(self, p: int) -> "SparsePoly":
-        """Replace x^e by x^(e/p); requires every exponent divisible by p."""
-        if any(e % p for e, _ in self.terms):
-            raise PreconditionFailed("not all exponents divisible by p")
-        return SparsePoly((e // p, c) for e, c in self.terms)
-
 
 def scale_substitute(f: SparsePoly, p: int, m: int) -> SparsePoly:
     """Substitute x -> p^m x, then normalize to minimum coefficient valuation 0.

@@ -202,9 +202,9 @@ def test_low_precision_deflation_is_a_cluster(capsys):
 @pytest.mark.parametrize("prec, p, poly, center", [
     (3, 3, "x^9-10", 1), (1, 5, "x^25-32", 2), (2, 5, "x^25-32", 2), (3, 5, "x^25-32", 2)])
 def test_low_precision_descent_is_a_cluster(capsys, prec, p, poly, center):
-    # x^p = x mod p puts any root in the class center + pZ_p, which holds none
-    # mod p^4; a p-th root needs 4 digits of its p-th power, so the descended
-    # polynomial is counted again at twice the digits and the count certifies 0
+    # x^(p^k) = x mod p puts any root in the class center + pZ_p, a zero of
+    # order p^k mod p, which holds none mod p^4: a refinement that runs out
+    # of digits is run again at twice the digits, and the count certifies 0
     f = parse_poly(poly)
     assert [x for x in range(p**4) if f.eval_mod(x, p, 4) == 0] == []
     assert [x for x in range(1, p) if f.eval_mod(x, p, 1) == 0] == [center]

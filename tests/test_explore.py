@@ -1,3 +1,4 @@
+import os
 import random
 import time
 from fractions import Fraction
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from padroot import explore
 from padroot.errors import PreconditionFailed
 from padroot.explore import SweepSpec, generate_candidates, run_sweep
 from padroot.sparsepoly import SparsePoly, format_poly
@@ -47,6 +49,37 @@ def test_determinism_worker_count(tmp_path):
     run_sweep(SweepSpec(workers=1, **base), out_path=str(out1))
     run_sweep(SweepSpec(workers=4, **base), out_path=str(out4))
     assert out1.read_bytes() == out4.read_bytes()
+
+
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records its size and forks nothing."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pool_size_is_capped_by_the_cpu_count(tmp_path, monkeypatch):
+    # 64 shards on 3 CPUs: the pool holds 3 processes, the output is unchanged
+    monkeypatch.setattr(explore, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    base = dict(p=3, t=2, exponent_bound=12, candidates=30, seed=3, prec=20, depth=5)
+    out1, out64 = tmp_path / "w1.csv", tmp_path / "w64.csv"
+    run_sweep(SweepSpec(workers=1, **base), out_path=str(out1))
+    run_sweep(SweepSpec(workers=64, **base), out_path=str(out64))
+    assert _InProcessPool.sizes == [3]
+    assert out1.read_bytes() == out64.read_bytes()
 
 
 def test_checkpoint_resume(tmp_path):

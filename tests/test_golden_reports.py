@@ -7,8 +7,9 @@ counter returned (the structured document keeps only 12 unit digits per
 root; the fields keep all of them, the precision, the `repr` the human
 report prints and the Hensel witness).  The inputs are seeded criterion-6
 polynomials at p = 3, 5, 7 and 11, the fixed lacunary-bigp polynomials of
-the benchmark, rational-reconstruction edge cases, p-th-root descents and exact and
-simple roots away from valuation 0.
+the benchmark, rational-reconstruction edge cases, inputs whose exponents are
+all divisible by p (ids "descent ...") and exact and simple roots away from
+valuation 0.
 A change that alters any of it must regenerate the file and say why in
 CHANGES.md:
 
@@ -50,13 +51,14 @@ EDGE = [
 ]
 
 DESCENT = [
-    # every exponent divisible by p: roots come from x -> x^p descents
+    # every exponent divisible by p: residue roots are zeros of order p*k,
+    # counted by the same residue refinement as any other input
     (3, "x^27 - 8"),
     (5, "x^50 - 3*x^25 + 2"),
     (5, "x^10 - 8*x^5 + 7"),  # 7 is an irrational 5th power in Q_5
     (3, "x^9 - 10"),  # 10 has a cube root in Q_3, which has none
-    (3, "x^12 - 2*x^6 + 1"),  # (x^6 - 1)^2: descended double torsion roots
-    (3, "x^6 - 20*x^3 + 100"),  # (x^3 - 10)^2: cube root of a double root
+    (3, "x^12 - 2*x^6 + 1"),  # (x^6 - 1)^2: double torsion roots
+    (3, "x^6 - 20*x^3 + 100"),  # (x^3 - 10)^2: an irrational double root
 ]
 
 SHIFTED = [

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from padroot.rootcount import (
     HENSEL_SIMPLE,
     CountOptions,
     _heights,
-    _padic_pth_root,
     _reduce_mod_p,
     _unit_zeros,
     count_roots,
@@ -182,27 +182,6 @@ def test_torsion_multiplicity_agrees_with_teichmuller_evaluation():
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_padic_pth_root_matches_brute_force(p):
-    # x^p mod p^k depends only on x mod p^(k-1), and a unit has at most one
-    # p-th root mod p^(k-1): the brute force scans that one class
-    rng = random.Random(7300 + p)
-    outcomes = set()
-    for known in (4, 5, 6):
-        mod = p**known
-        for _ in range(4):
-            power = pow(rng.randrange(1, mod // p) * p + rng.randrange(1, p), p, mod)
-            # a p-th power, the same times 1 + p (never one), any unit
-            for u in (power, power * (1 + p) % mod, rng.randrange(1, mod // p) * p + 1):
-                brute = [x for x in range(u % p, p ** (known - 1), p)
-                         if pow(x, p, mod) == u]
-                assert len(brute) <= 1
-                want = brute[0] % p ** (known - 2) if brute else None
-                assert _padic_pth_root(u, p, known) == want, (u, known)
-                outcomes.add(want is None)
-    assert outcomes == {True, False}
-
-
 # -- full counting ----------------------------------------------------------
 
 
@@ -244,7 +223,8 @@ def test_count_trinomial_q3():
 
 
 def test_count_pth_power_descent():
-    # x^18 - 1 = g(x^3) twice over; roots are the square roots of unity
+    # x^18 - 1 = g(x^9): the residues +-1 are zeros of order 9 mod 3, and the
+    # refinement certifies the square roots of unity
     report = count_roots(parse_poly("x^18 - 1"), 3, OPTS)
     assert report.fully_certified
     assert report.count_distinct == 2
@@ -256,28 +236,29 @@ def test_count_pth_power_descent():
     ("x^12 - 14580*x^6 + 53144100", 1),  # 3^12 * ((x/3)^12 - 20*(x/3)^6 + 100)
 ])
 def test_descended_clusters_are_in_x_coordinates(text, valuation):
-    # (x^6 - 10)^2 at 3: the inner y^4 - 20*y^2 + 100 = (y^2 - 10)^2 leaves
-    # the double roots +-sqrt(10) as clusters at level 10; their cube roots
-    # are the classes of 1928 and 17755 mod 3^9, whose sixth powers are 10
+    # (x^6 - 10)^2 at 3: the irrational double roots +-10^(1/6) stay depth
+    # clusters at level 10, in x coordinates: subclasses of 1928 and 17755
+    # mod 3^9, on which x^6 = 10 mod 3^11 (x^6 mod 3^11 depends on x mod 3^10)
     report = count_roots(parse_poly(text), 3, OPTS)
     assert report.entries == []
-    assert [(c.valuation, c.center, c.level, c.upper_bound)
-            for c in report.unresolved] == [(valuation, 1928, 9, 2), (valuation, 17755, 9, 2)]
-    assert all(pow(c.center, 6, 3**10) == 10 for c in report.unresolved)
+    assert [(c.valuation, c.center, c.level, c.upper_bound, c.reason)
+            for c in report.unresolved] == [(valuation, 21611, 10, 2, "depth"),
+                                             (valuation, 37438, 10, 2, "depth")]
+    assert [c.center % 3**9 for c in report.unresolved] == [1928, 17755]
+    assert all(pow(c.center, 6, 3**11) == 10 for c in report.unresolved)
 
 
 def test_descent_drops_clusters_holding_no_pth_power():
-    # the inner (y^2 - 7)^2 has double roots +-sqrt(7) = +-4 mod 9, but unit
-    # cubes are +-1 mod 9: neither cluster holds y = x^3, and x^6 = 7 has no
-    # solution in Q_3
+    # (x^6 - 7)^2 at 3: unit cubes are +-1 mod 9 and 7 is not, so x^6 = 7 has
+    # no solution in Q_3 and the refinement leaves no cluster
     report = count_roots(parse_poly("x^12 - 14*x^6 + 49"), 3, OPTS)
     assert report.entries == [] and report.unresolved == []
 
 
 def test_descended_clusters_hold_exactly_the_oracle_roots():
-    # f(x) = h(x^p), h = (y^2 - a*p^(2ps))^2 * (y + b): irrational double
-    # roots of valuation ps stay clusters of h; each reported cluster of f
-    # must hold a root of f, and together with the entries they hold all
+    # f(x) = h(x^p), h = (y^2 - a*p^(2ps))^2 * (y + b): the irrational double
+    # roots of f, of valuation s, stay clusters; each reported cluster must
+    # hold a root of f, and together with the entries they hold all
     rng = random.Random(8080)
     valuations = set()
     for _ in range(60):
@@ -296,6 +277,62 @@ def test_descended_clusters_hold_exactly_the_oracle_roots():
             valuations.add(cluster.valuation)
         assert not rest, (f.terms, p, rest)
     assert valuations == {0, 1}
+
+
+def _pth_power_cases(seed, count):
+    """(f, p, planted): f = h(x^p), h a random sparse polynomial times
+    (b^p y - a^p), sometimes squared, so that a/b is a root of f."""
+    from oracle import random_sparse_poly
+
+    rng = random.Random(seed)
+    for case in range(count):
+        p = (3, 5, 7)[case % 3]
+        b = rng.choice([1, 2, p])
+        a = rng.choice([k for k in range(-9, 10) if k and (b != p or k % p)])
+        planted = Fraction(a, b)
+        h = _times(random_sparse_poly(rng, max_terms=3, max_exp=5, coeff_bound=9),
+                   _poly([(1, b**p), (0, -(a**p))]))
+        if rng.random() < 0.3:
+            h = _times(h, h)
+        yield SparsePoly.from_dict({e * p: c for e, c in h.terms}), p, planted
+
+
+def test_pth_power_inputs_match_oracle():
+    # inputs whose exponents are all divisible by p: a certified report is the
+    # oracle's inventory, and every root it leaves out lies in one of its
+    # clusters, whose bound covers the roots there
+    certified = clustered = 0
+    for f, p, planted in _pth_power_cases(9300, 300):
+        report = count_roots(f, p, OPTS)
+        expected, total_mult = oracle_root_classes(f, p, 6)
+        got = report_classes(report, 6)
+        assert got <= expected, (f.terms, p)
+        if report.fully_certified:
+            certified += 1
+            assert got == expected and report.count_with_multiplicity == total_mult, (f.terms, p)
+            assert planted in {e.rational for e in report.entries}, (f.terms, p, planted)
+        rest = expected - got
+        for cluster in report.unresolved:
+            inside = {(m, u) for m, u in rest if m == cluster.valuation
+                      and (u - cluster.center) % p ** min(cluster.level, 6) == 0}
+            assert len(inside) <= cluster.upper_bound, (f.terms, p, cluster)
+            rest -= inside
+            clustered += 1
+        assert not rest, (f.terms, p, rest)
+    assert certified >= 290 and clustered
+
+
+@pytest.mark.parametrize("text, p, counts", [
+    (f"x^{3**20} - 10", 3, (0, 0)),
+    (f"x^{4 * 5**12} - 1", 5, (4, 4)),
+    (f"x^{2 * 3**15} - 2*x^{3**15} + 1", 3, (1, 2)),
+], ids=["x^(3^20)-10", "x^(4*5^12)-1", "(x^(3^15)-1)^2"])
+def test_pth_power_inputs_with_huge_exponents(text, p, counts):
+    start = time.perf_counter()
+    report = count_roots(parse_poly(text), p, OPTS)
+    assert time.perf_counter() - start < 1.0
+    assert report.fully_certified
+    assert (report.count_distinct, report.count_with_multiplicity) == counts
 
 
 def test_count_rational_double_root():
@@ -371,8 +408,8 @@ def test_monomial_has_no_roots():
     ({6: 1, 3: -2 * 2**1200, 0: 2**2400}, 2**400),
 ], ids=["x^3-2^1101", "(x^3-5^120)^2", "(x^3-2^1200)^2"])
 def test_count_cube_roots_beyond_float_range(poly, exact_root):
-    # x^3 - 2^1101, (x^3 - 5^120)^2, (x^3 - 2^1200)^2: the p-th root of the
-    # inner rational root is too large for a float and must be taken exactly
+    # x^3 - 2^1101, (x^3 - 5^120)^2, (x^3 - 2^1200)^2: the rational root is
+    # too large for a float and is reconstructed exactly from its digits
     report = count_roots(_poly(poly.items()), 3, OPTS)
     assert report.fully_certified
     assert (report.count_distinct, report.count_with_multiplicity) == (1, len(poly) - 1)
@@ -503,6 +540,34 @@ def test_digit_zeros_match_synthetic_division(p):
         kinds.update(("repeated" if k > 1 else "simple", d == 0) for d, k in want)
         kinds.add(("all units", len([d for d, _ in want if d]) == p - 1))
     assert {("repeated", True), ("repeated", False), ("all units", True)} <= kinds
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_residue_order_of_frobenius_powers_matches_synthetic_division(p):
+    # h(x^(p^s)) = h(x)^(p^s) over F_p: the order of a zero scales by p^s
+    rng = random.Random(4300 + p)
+    scaled = 0
+    for case in range(40):
+        s = case % 5
+        if p**s * 2 > 300:
+            continue
+        factors = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] or [1]]
+        factors += [[-rng.randrange(1, p), 1]] * rng.randint(0, 3)
+        h = [c % p for c in _dense_product(factors)]
+        while h and not h[-1]:
+            h.pop()
+        h = [c for k, c in enumerate(h) if k * p**s <= 300]
+        if sum(1 for c in h if c) < 2:
+            continue
+        spread = [0] * ((len(h) - 1) * p**s + 1)
+        for k, c in enumerate(h):
+            spread[k * p**s] = c
+        support = {e: c for e, c in enumerate(spread) if c}
+        want = dict(_brute_digit_zeros(spread, p))
+        for r in range(1, p):
+            assert rootcount._residue_order(support, p, r) == want.get(r, 0), (h, p, s, r)
+            scaled += s > 0 and r in want
+    assert scaled
 
 
 # -- oracle equivalence (mini corpus; the full run is in acceptance) ---------
@@ -707,7 +772,8 @@ def test_scaled_polynomial_has_identical_report():
 
 
 def test_val_fprime_ignores_p_content_on_the_descent_path():
-    # x^3 - 8 descends through x -> x^3 at p = 3; v(f'(2)) = v(12) = 1
+    # x^3 - 8 at p = 3, every exponent divisible by p, and the same with a
+    # p-content of 9: v(f'(2)) = v(12) = 1 either way
     for text in ("x^3 - 8", "9*x^3 - 72"):
         (entry,) = count_roots(parse_poly(text), 3, OPTS).entries
         assert (entry.rational, entry.val_fprime) == (Fraction(2), 1), text
