@@ -105,22 +105,28 @@ def generate_candidates(spec: SweepSpec) -> list[SparsePoly]:
     if spec.exponent_bound < spec.t:
         raise PreconditionFailed(f"{spec.t} distinct exponents need a bound >= {spec.t}, "
                                  f"got {spec.exponent_bound}")
+    if spec.coeff_mode == "random":
+        choices = [c for c in range(-spec.coeff_bound, spec.coeff_bound + 1) if c]
+    elif spec.coeff_mode == "exhaustive":
+        modulus = spec.p ** max(spec.coeff_modulus_exp, 0)
+        choices = range(1, modulus)
+    else:
+        raise PreconditionFailed(f"unknown coefficient mode {spec.coeff_mode!r}")
+    if not choices:
+        raise PreconditionFailed("empty coefficient set: the bound or modulus exponent is below 1")
     out = []
     if spec.coeff_mode == "random":
         rng = random.Random(spec.seed)
         subsets = math.comb(spec.exponent_bound, spec.t)
         for _ in range(spec.candidates):
             exps = _unrank_exponents(spec.exponent_bound, spec.t, rng.randrange(subsets))
-            terms = {0: Fraction(rng.choice([c for c in range(-spec.coeff_bound, spec.coeff_bound + 1) if c]))}
+            terms = {0: Fraction(rng.choice(choices))}
             for e in exps:
-                terms[e] = Fraction(rng.choice(
-                    [c for c in range(-spec.coeff_bound, spec.coeff_bound + 1) if c]))
+                terms[e] = Fraction(rng.choice(choices))
             out.append(SparsePoly.from_dict(terms))
-    elif spec.coeff_mode == "exhaustive":
-        modulus = spec.p**spec.coeff_modulus_exp
-        residues = range(1, modulus)
+    else:
         for exps in combinations(range(1, spec.exponent_bound + 1), spec.t):
-            for coeffs in product(residues, repeat=spec.t + 1):
+            for coeffs in product(choices, repeat=spec.t + 1):
                 if not _canonical_exhaustive(coeffs, exps, spec.p, modulus):
                     continue
                 terms = {0: Fraction(coeffs[0])}
@@ -129,8 +135,6 @@ def generate_candidates(spec: SweepSpec) -> list[SparsePoly]:
                 out.append(SparsePoly.from_dict(terms))
             if len(out) > MAX_CANDIDATES:
                 raise CapExceeded("exhaustive sweep space exceeds the cap")
-    else:
-        raise PreconditionFailed(f"unknown coefficient mode {spec.coeff_mode!r}")
     if len(out) > MAX_CANDIDATES:
         raise CapExceeded("sweep space exceeds the cap")
     return out

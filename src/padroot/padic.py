@@ -74,7 +74,6 @@ def is_prime(n: int) -> bool:
 
 
 def fraction_valuation(q: Fraction | int, p: int) -> int:
-    q = Fraction(q)
     if q == 0:
         raise InternalError("valuation of zero requested")
     return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)

@@ -39,13 +39,7 @@ from .padic import (
     newton_lift,
     teichmuller,
 )
-from .sparsepoly import (
-    ModImage,
-    SparsePoly,
-    newton_polygon,
-    scale_substitute,
-    taylor_shift_truncate,
-)
+from .sparsepoly import ModImage, SparsePoly, newton_polygon, taylor_shift_truncate
 
 HENSEL_SIMPLE = "HenselSimple"
 EXACT_TORSION = "ExactTorsion"
@@ -193,18 +187,15 @@ class _Heights(NamedTuple):
 def _heights(f: SparsePoly, p: int, m: int) -> _Heights | None:
     """Bounds on the unit parts of the rational roots of valuation m.
 
-    With f cleared to a primitive integer polynomial F, a rational root a/b
-    in lowest terms has a | F(0) and b | lead(F).  Its unit part
-    a'/b' = (a/b)/p^m then has a' | a_max = F(0)/p^max(m, 0) and
-    b' | b_max = lead(F)/p^max(-m, 0), and two such fractions congruent
+    f is the primitive integer polynomial `count_roots` clears its input to,
+    so a rational root a/b in lowest terms has a | f(0) and b | lead(f).
+    Its unit part a'/b' = (a/b)/p^m then has a' | a_max = f(0)/p^max(m, 0)
+    and b' | b_max = lead(f)/p^max(-m, 0), and two such fractions congruent
     mod p^digits, p^digits > 2 a_max b_max, are equal.  None when no
     rational root can have valuation m.
     """
-    den = math.lcm(*(c.denominator for _, c in f.terms))
-    ints = [int(c * den) for _, c in f.terms]
-    content = math.gcd(*ints)
-    a_max, a_rem = divmod(abs(ints[0]) // content, p ** max(m, 0))
-    b_max, b_rem = divmod(abs(ints[-1]) // content, p ** max(-m, 0))
+    a_max, a_rem = divmod(abs(f.terms[0][1].numerator), p ** max(m, 0))
+    b_max, b_rem = divmod(abs(f.terms[-1][1].numerator), p ** max(-m, 0))
     if a_rem or b_rem:
         return None
     digits, power = 1, p
@@ -317,17 +308,15 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
 
 
 def _divisible_by_cyclotomic(g: SparsePoly, d: int) -> bool:
-    """Does the d-th cyclotomic polynomial divide g over Q?
+    """Does the d-th cyclotomic polynomial divide the integer polynomial g?
 
     A primitive d-th root of unity z has z^d = 1, so g(z) is the value at z
-    of g with its denominators cleared and its exponents folded mod d: a
-    dense integer polynomial of degree < d, whose remainder by Phi_d is zero
-    exactly when g(z) is.
+    of g with its exponents folded mod d: a dense integer polynomial of
+    degree < d, whose remainder by Phi_d is zero exactly when g(z) is.
     """
-    den = math.lcm(*(c.denominator for _, c in g.terms))
     folded = [0] * d
     for e, c in g.terms:
-        folded[e % d] += c.numerator * (den // c.denominator)
+        folded[e % d] += c.numerator
     return not any(_divmod_monic(folded, _cyclotomic(d))[1])
 
 
@@ -429,12 +418,13 @@ def _hensel_entry(g: ModImage, start: int, known: int, prec: int,
 def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> RootReport:
     """Certified inventory of the roots of f in Q_p^*, with multiplicities.
 
-    Strategy: strip the monomial factor and the p-content, then walk the
-    Newton polygon grouping roots by valuation and refining by residue
-    digits.  An input f(x) = g(x^p) needs no path of its own: its residue
-    roots are zeros of order p*k (`_residue_order`).  Multiplicities above
-    one are only ever asserted at exactly representable points; anything
-    else is returned as an unresolved cluster with an upper bound.
+    Strategy: clear f once to the primitive integer polynomial F with its
+    monomial factor stripped, which has the same roots in Q_p^* at the same
+    multiplicities, then walk F's Newton polygon grouping roots by valuation
+    and refining by residue digits.  An input f(x) = g(x^p) needs no path of
+    its own: its residue roots are zeros of order p*k (`_residue_order`).
+    Multiplicities above one are only ever asserted at exactly representable
+    points; anything else is an unresolved cluster with an upper bound.
     """
     opts = opts or CountOptions()
     if p == 2 or not is_prime(p):
@@ -443,12 +433,14 @@ def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> Root
         raise PreconditionFailed("cannot count roots of the zero polynomial")
 
     report = RootReport(poly=f, p=p, prec=opts.prec, depth=opts.depth)
-    stripped, _ = f.strip_lowest()
-    if stripped.num_terms() <= 1:
+    if f.num_terms() <= 1:
         return report
-    normalized = scale_substitute(stripped, p, 0)
-    for m in newton_polygon(normalized, p).integer_root_valuations():
-        entries, clusters = segment_root_count(normalized, p, m, opts)
+    low, den = f.terms[0][0], math.lcm(*(c.denominator for _, c in f.terms))
+    ints = [(e - low, c.numerator * (den // c.denominator)) for e, c in f.terms]
+    content = math.gcd(*(c for _, c in ints))
+    primitive = SparsePoly((e, c // content) for e, c in ints)
+    for m in newton_polygon(primitive, p).integer_root_valuations():
+        entries, clusters = segment_root_count(primitive, p, m, opts)
         report.entries.extend(entries)
         report.unresolved.extend(clusters)
 
@@ -457,7 +449,7 @@ def count_roots(f: SparsePoly, p: int, opts: CountOptions | None = None) -> Root
     return report
 
 
-def _reduce_mod_p(g: SparsePoly, p: int) -> dict[int, int]:
+def _reduce_mod_p(g: ModImage, p: int) -> dict[int, int]:
     """The reduction of g mod p as {exponent: coefficient}, monomial factor stripped."""
     support = {e: c for e, c in g.residues(p, 1) if c}
     if not support:
@@ -528,7 +520,7 @@ def _residue_order(support: dict[int, int], p: int, r: int) -> int:
 def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
     """Roots of f0 with valuation m, found by residue refinement at that scale.
 
-    f0 has a nonzero constant term and minimum coefficient valuation 0, and
+    f0 is a primitive integer polynomial with a nonzero constant term, and
     m is the integral root valuation of one of its Newton-polygon segments.
     The zeros of the reduction of g, the rescaled polynomial's `ModImage`,
     are the first digits of the roots: simple ones are Hensel-lifted, multiple

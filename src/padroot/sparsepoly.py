@@ -5,8 +5,10 @@ increasing nonnegative integer exponents and nonzero Fraction coefficients.
 Exponents are arbitrary-precision (the interesting inputs are lacunary:
 degree in the thousands, a handful of terms), so nothing here ever builds a
 dense coefficient list except the explicitly truncated Taylor shift.
-Coefficients stay exact rationals until a p-adic operation is requested;
-coefficient valuations, and hence Newton polygons, are exact.
+Coefficients are exact rationals here, at the boundary (parsing, printing,
+`extremal`); the counter clears them once to integers, and
+`ModImage`, its modular view, takes only integer coefficients.
+Coefficient valuations, and hence Newton polygons, are exact.
 """
 
 from __future__ import annotations
@@ -149,11 +151,12 @@ SCREEN_PRIME = 2**61 - 1
 
 
 class ModImage:
-    """A p-integral polynomial held as (exponent, unit part, shift) per term.
+    """An integer polynomial held as (exponent, unit part, shift) per term.
 
-    The coefficient of x^e is unit * p^shift with the unit prime to p, so a
-    residue mod p^k costs O(log k) however large the shift, and a term whose
-    shift reaches k is 0 mod p^k.  `scaled(f, p, m)` is the image of
+    The coefficient of x^e is unit * p^shift with the unit an integer prime
+    to p, so a residue mod p^k costs O(log k) however large the shift, needs
+    no inverse, and a term whose shift reaches k is 0 mod p^k.  f must have
+    integer coefficients; `scaled(f, p, m)` is the image of
     scale_substitute(f, p, m) = f(p^m x) / p^nu with no p^(m e) ever built;
     the polynomial itself, `exact()`, is built through `scale_substitute`
     on first use.  Derived images keep p, m and nu, their source's scale.
@@ -168,9 +171,11 @@ class ModImage:
 
     @classmethod
     def scaled(cls, f: SparsePoly, p: int, m: int) -> "ModImage":
-        split = [(e, c, fraction_valuation(c, p)) for e, c in f.terms]
+        if any(c.denominator != 1 for _, c in f.terms):
+            raise PreconditionFailed("a modular image needs integer coefficients")
+        split = [(e, c.numerator, int_valuation(c.numerator, p)) for e, c in f.terms]
         nu = min(v + m * e for e, _, v in split)
-        return cls(p, m, nu, [(e, c / Fraction(p) ** v, v + m * e - nu) for e, c, v in split],
+        return cls(p, m, nu, [(e, c // p**v, v + m * e - nu) for e, c, v in split],
                    lambda: scale_substitute(f, p, m))
 
     def exact(self) -> SparsePoly:
@@ -183,8 +188,7 @@ class ModImage:
         modulus = p**k
         if modulus not in self._residues:
             self._residues[modulus] = [
-                (e, u.numerator * pow(u.denominator, -1, modulus) * p**s % modulus
-                 if s < k else 0)
+                (e, u * p**s % modulus if s < k else 0)
                 for e, u, s in self.terms]
         return self._residues[modulus]
 
@@ -211,15 +215,15 @@ class ModImage:
     def vanishes_at(self, x: Fraction) -> bool:
         """Whether the polynomial vanishes at the rational x, exactly.
 
-        A root stays a root mod any prime q dividing no denominator, so a
-        nonzero value mod q = SCREEN_PRIME rejects x in O(terms * log degree);
-        the exact value is computed only when that one is 0 or undefined.
+        The coefficients are integers, so a root stays a root mod any prime q
+        not dividing x's denominator: a nonzero value mod q = SCREEN_PRIME
+        rejects x in O(terms * log degree), and the exact value is computed
+        only when that one is 0 or q divides the denominator.
         """
         q = SCREEN_PRIME
-        if all(den % q for den in [x.denominator] + [u.denominator for _, u, _ in self.terms]):
+        if x.denominator % q:
             xq = x.numerator * pow(x.denominator, -1, q) % q
-            if sum(u.numerator * pow(u.denominator, -1, q) * pow(self.p, s, q) * pow(xq, e, q)
-                   for e, u, s in self.terms) % q:
+            if sum(u * pow(self.p, s, q) * pow(xq, e, q) for e, u, s in self.terms) % q:
                 return False
         return self.exact().eval_exact(x) == 0
 
@@ -279,7 +283,7 @@ class NewtonPolygon:
 
     def __init__(self, support):
         self.support = list(support)
-        hull: list[tuple[int, Fraction]] = []
+        hull: list[tuple[int, int]] = []
         for pt in self.support:
             while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) <= 0:
                 hull.pop()
@@ -303,7 +307,7 @@ class NewtonPolygon:
         return f"NewtonPolygon({self.segments})"
 
 
-def _cross(o, a, b) -> Fraction:
+def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -317,7 +321,7 @@ def newton_polygon(f: SparsePoly, p: int) -> NewtonPolygon:
         raise PreconditionFailed("Newton polygon of the zero polynomial")
     if f.terms[0][0] != 0:
         raise PreconditionFailed("strip x^(lowest exponent) before the polygon")
-    support = [(e, Fraction(fraction_valuation(c, p))) for e, c in f.terms]
+    support = [(e, fraction_valuation(c, p)) for e, c in f.terms]
     return NewtonPolygon(support)
 
 

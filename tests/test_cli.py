@@ -77,6 +77,10 @@ def test_newton_polygon_command(capsys):
     assert code == EXIT_OK
     assert "slope=-1 length=2" in out
     assert "slope=0 length=18" in out
+    code, out, _ = run(capsys, ["newton-polygon", "--p", "3",
+                                "--poly", "x^5 - 9*x^2 + 1/3*x + 27"])
+    assert code == EXIT_OK
+    assert "segment slope=-4 length=1 from (0, 3) to (1, -1)" in out
 
 
 def test_vandermonde_check_command(capsys):
@@ -261,7 +265,13 @@ def test_descent_without_pth_powers_exits_0(capsys):
     ["newton-polygon", "--p", "4", "--poly", "x^2-1"],
     ["bounds", "--t", "2", "--p", "4"],
     ["search", "--p", "5", "--t", "3", "--max-exp", "2"],
-], ids=["np-p0", "np-p1", "np-p4", "bounds-p4", "search-max-exp"])
+    ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--coeff-bound", "0"],
+    ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--mode", "exhaustive",
+     "--coeff-modulus-exp", "0"],
+    ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--mode", "exhaustive",
+     "--coeff-modulus-exp", "-1"],
+], ids=["np-p0", "np-p1", "np-p4", "bounds-p4", "search-max-exp",
+        "search-no-random-coeffs", "search-no-exhaustive-coeffs", "search-negative-modulus-exp"])
 def test_bad_prime_or_exponent_bound_exits_1(capsys, command):
     code, out, err = run(capsys, command)
     assert code == EXIT_USAGE

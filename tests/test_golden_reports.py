@@ -21,11 +21,13 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 from padroot import cli
-from padroot.sparsepoly import format_poly
+from padroot.rootcount import count_roots
+from padroot.sparsepoly import SparsePoly, format_poly
 
 from oracle import random_sparse_poly
 
@@ -141,6 +143,43 @@ def test_structured_reports_byte_identical():
     assert [case_id for case_id, _, _ in cases] == list(golden)
     for case_id, p, text in cases:
         assert golden_record(p, text) == golden[case_id], case_id
+
+
+def _fields(report) -> tuple:
+    return [_entry_fields(e) for e in report.entries], [vars(c) for c in report.unresolved]
+
+
+def _times_linear(f, a: int, b: int):
+    """f * (b x - a)."""
+    out: dict[int, Fraction] = {}
+    for e, c in f.terms:
+        out[e + 1] = out.get(e + 1, 0) + b * c
+        out[e] = out.get(e, 0) - a * c
+    return SparsePoly.from_dict(out)
+
+
+def test_reports_invariant_under_rational_and_monomial_factors():
+    # c * x^k * f has the roots of f in Q_p^*, at the same multiplicities:
+    # every field of the report is the same, whatever p-powers c carries;
+    # half the inputs carry a planted double root a/b
+    rng = random.Random(1601)
+    seen = {"p | den c": 0, "rational": 0, "multiple": 0}
+    for _ in range(300):
+        p = rng.choice([3, 5, 7, 11])
+        f = random_sparse_poly(rng, max_terms=4, max_exp=40, coeff_bound=20)
+        if rng.randint(0, 1):
+            a, b = rng.randint(-9, 9) or 1, rng.randint(1, 9)
+            f = _times_linear(_times_linear(f, a, b), a, b)
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12) * p ** rng.randint(0, 3),
+                     rng.randint(1, 12) * p ** rng.randint(0, 3))
+        k = rng.randint(0, 6)
+        report = count_roots(f, p)
+        scaled = SparsePoly((e + k, c * coeff) for e, coeff in f.terms)
+        assert _fields(count_roots(scaled, p)) == _fields(report), (f.terms, p, c, k)
+        seen["p | den c"] += c.denominator % p == 0
+        seen["rational"] += any(e.rational is not None for e in report.entries)
+        seen["multiple"] += any(e.multiplicity > 1 for e in report.entries)
+    assert min(seen.values()) > 50, seen
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -180,18 +181,26 @@ def _random_image_case(rng):
     return SparsePoly.from_dict(data), p, rng.randint(-2, 2), rng.randint(1, 6)
 
 
+def _cleared(f):
+    """f times the lcm of its denominators: the integer input `ModImage` takes."""
+    den = math.lcm(*(c.denominator for _, c in f.terms))
+    return SparsePoly((e, c * den) for e, c in f.terms)
+
+
 def test_mod_image_matches_scale_substitute():
     # residues, values, derivative chains and normalization of the image
-    # equal those of the materialised rescaling, at every modulus
+    # equal those of the materialised rescaling, at every modulus; the
+    # inputs are cleared of denominators, p-powers among them
     rng = random.Random(1101)
     seen = {"m < 0": 0, "p | den": 0, "shift >= k": 0}
     for _ in range(300):
         f, p, m, k = _random_image_case(rng)
+        seen["p | den"] += any(c.denominator % p == 0 for _, c in f.terms)
+        f = _cleared(f)
         image, g = ModImage.scaled(f, p, m), scale_substitute(f, p, m)
         assert (image.p, image.m) == (p, m)
         assert image.nu == min(fraction_valuation(c, p) + m * e for e, c in f.terms)
         seen["m < 0"] += m < 0
-        seen["p | den"] += any(c.denominator % p == 0 for _, c in f.terms)
         while not g.is_zero():
             seen["shift >= k"] += any(s >= k for _, _, s in image.terms)
             assert image.exact().terms == g.terms
@@ -208,7 +217,7 @@ def test_mod_image_matches_scale_substitute():
 
 def test_mod_image_vanishing_is_exact():
     # rational points: screened mod 2^61 - 1, decided by exact evaluation;
-    # q = 2^61 - 1 itself as a denominator skips the screen
+    # q = 2^61 - 1 as the point's denominator skips the screen
     q = 2**61 - 1
     for text, x, vanishes in [
         ("9*x^2 - 4", Fraction(2, 3), True),
@@ -221,7 +230,13 @@ def test_mod_image_vanishing_is_exact():
     ]:
         f = parse_poly(text)
         for p in (3, 5):
-            assert ModImage.scaled(f, p, 0).vanishes_at(x) == vanishes, (text, x, p)
+            assert ModImage.scaled(_cleared(f), p, 0).vanishes_at(x) == vanishes, (text, x, p)
+
+
+def test_mod_image_needs_integer_coefficients():
+    for text in ("1/2*x - 1", "x^3 - 1/3"):
+        with pytest.raises(PreconditionFailed):
+            ModImage.scaled(parse_poly(text), 3, 0)
 
 
 def test_residues_once_per_modulus():

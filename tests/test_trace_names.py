@@ -70,4 +70,5 @@ def test_traced_run_reports_every_metric():
     # around them would read 0 in `--trace 1` without failing anything else
     assert summary["padic.hensel_lift.calls"] > 0
     assert summary["padic.teichmuller.calls"] > 0
+    assert summary["sparsepoly.newton_polygon.calls"] > 0
     assert summary["sparsepoly.scale_substitute.max_coeff_bits"] < 10**4
