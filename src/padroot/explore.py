@@ -106,6 +106,8 @@ def generate_candidates(spec: SweepSpec) -> list[SparsePoly]:
         raise PreconditionFailed(f"{spec.t} distinct exponents need a bound >= {spec.t}, "
                                  f"got {spec.exponent_bound}")
     if spec.coeff_mode == "random":
+        if spec.candidates < 1:
+            raise PreconditionFailed(f"need at least 1 candidate, got {spec.candidates}")
         choices = [c for c in range(-spec.coeff_bound, spec.coeff_bound + 1) if c]
     elif spec.coeff_mode == "exhaustive":
         modulus = spec.p ** max(spec.coeff_modulus_exp, 0)
@@ -177,8 +179,9 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None,
     collects per-shard results as they complete and lets a rerun against
     the same spec skip finished shards.
     """
-    spec_dict = asdict(spec)
-    workers = max(spec.workers, 1)
+    if spec.workers < 1:
+        raise PreconditionFailed(f"need at least 1 shard, got {spec.workers} workers")
+    spec_dict, workers = asdict(spec), spec.workers
     done: dict[int, list[dict]] = {}
 
     if checkpoint_path and Path(checkpoint_path).exists():

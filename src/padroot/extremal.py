@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bounds import sparse_lower_bound
 from .errors import (
     CapExceeded,
     InternalError,
@@ -104,7 +105,7 @@ def verify_sharp_trinomial(q: int, opts: BuildOptions | None = None) -> RootRepo
               if e.valuation == 1 and e.multiplicity == 1]
     if len(lifted) != q - 1:
         raise InternalError("expected q-1 simple roots of valuation 1")
-    if report.count_with_multiplicity < 3 * (q - 1):
+    if report.count_with_multiplicity < sparse_lower_bound(2, q).improved:
         raise InternalError("trinomial fell short of its target count")
     return report
 
@@ -188,7 +189,7 @@ def build_family(t: int, q: int, opts: BuildOptions | None = None) -> ExtremalBu
         strict = strict and stage_strict
         log.extend(records)
 
-    target = (2 * t - 1) * (q - 1)
+    target = sparse_lower_bound(t, q).improved
     if report.count_with_multiplicity < target:
         raise InternalError("verified tower member fell short of its target")
     return ExtremalBuildReport(
@@ -379,7 +380,7 @@ def _accept_tower_member(candidate, report, stage, q, strict=True) -> str:
     profile = _tower_profile(report, stage, q)
     if not _profile_acceptable(profile, stage, strict):
         return "tower profile mismatch"
-    if report.count_with_multiplicity < (2 * stage - 1) * (q - 1):
+    if report.count_with_multiplicity < sparse_lower_bound(stage, q).improved:
         return "below target"
     if candidate.num_terms() != stage + 1:
         return "term count broken"

@@ -53,8 +53,9 @@ class MultiPoly:
 
     # -- basic queries ------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial."""
+        return bool(self.terms)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -151,7 +152,7 @@ class MultiPoly:
         caller's divisibility guarantee is broken, not an input state.
         """
         self._check_arity(divisor)
-        if divisor.is_zero():
+        if not divisor:
             raise InternalError("division by the zero polynomial")
         quotient: dict[Monomial, int] = {}
         rem = dict(self.terms)
@@ -280,34 +281,27 @@ class MultiPoly:
         return text.replace("+ -", "- ")
 
 
-def det(matrix: list[list[MultiPoly]]) -> MultiPoly:
-    """Determinant by cofactor expansion along the sparsest column."""
+def det(matrix):
+    """Determinant by cofactor expansion along the sparsest column; the
+    entries are MultiPolys or numbers, tested and summed as they come."""
     n = len(matrix)
     if n == 0:
         raise InternalError("empty matrix")
     for row in matrix:
         if len(row) != n:
             raise InternalError("determinant of a non-square matrix")
-    nvars = matrix[0][0].nvars
     if n == 1:
         return matrix[0][0]
 
-    col = min(
-        range(n),
-        key=lambda j: sum(0 if matrix[i][j].is_zero() else 1 for i in range(n)),
-    )
-    result = MultiPoly.zero(nvars)
+    col = min(range(n), key=lambda j: sum(1 for row in matrix if row[j]))
+    terms = []
     for i in range(n):
         entry = matrix[i][col]
-        if entry.is_zero():
+        if not entry:
             continue
-        minor = [
-            [matrix[r][c] for c in range(n) if c != col]
-            for r in range(n)
-            if r != i
-        ]
-        cofactor = det(minor)
+        cofactor = det([row[:col] + row[col + 1:] for r, row in enumerate(matrix) if r != i])
         if (i + col) % 2:
             cofactor = -cofactor
-        result = result + entry * cofactor
-    return result
+        terms.append(entry * cofactor)
+    # a column of zeros holds a zero of the entries' own type
+    return sum(terms[1:], start=terms[0]) if terms else matrix[0][col]

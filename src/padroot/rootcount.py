@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bounds import FieldParams, sparse_upper_bound, sparse_upper_bound_value
+from .bounds import FieldParams, descartes_bound, sparse_upper_bound, sparse_upper_bound_value
 from .errors import InternalError, PrecisionExhausted, PreconditionFailed
 from .padic import (
     ApproxRootCertificate,
@@ -75,7 +75,9 @@ class RootEntry:
 
     def sort_key(self):
         digits = self.value.unit_mod(min(self.value.prec, 12))
-        return (self.valuation, digits)
+        # roots sharing these digits: exact points first, rationals by value
+        rank = (EXACT_TORSION, EXACT_RATIONAL, HENSEL_SIMPLE).index(self.certificate)
+        return (self.valuation, digits, rank, self.rational or 0)
 
     def describe(self) -> str:
         if self.rational is not None:
@@ -248,25 +250,27 @@ def _chain_multiplicity(g: ModImage, vanishes) -> int:
 def rational_roots_with_multiplicity(g: ModImage, r: int, order: int,
                                      torsion, heights: _Heights,
                                      opts: CountOptions):
-    """The rational roots of g in the unit residue class r, with multiplicities.
+    """The multiple rational roots of g in the unit residue class r, with
+    multiplicities (and any simple one that is a root of some g^(j) too).
 
     g is in unit coordinates and ḡ has a zero of order >= 2 at r.  A root
-    of multiplicity mu is a simple root of g^(mu-1), and mu <= min(order, t)
-    for a (t+1)-nomial.  So for j = min(order, t) - 1 down to 0 the simple
-    roots of g^(j) in the class are found by the counter's own residue
-    refinement, with the exact points already known (`torsion`, as
-    (point, multiplicity, order) triples, and the rational roots found at
-    larger j) deflated at their multiplicities in g^(j).  Each simple root
-    is lifted to heights.digits and reconstructed (`_rational_label`); a
-    label equal to a known torsion point is that point, found again.
+    of multiplicity mu >= 2 is a simple root of g^(mu-1), mu <= min(order, t)
+    for a (t+1)-nomial; simple roots are labelled where the class's one
+    refinement on g lifts them (`_local_count`).  So for j = min(order, t) - 1
+    down to 1 the simple roots of g^(j) in the class are found by the
+    counter's own residue refinement, with the exact points already known
+    (`torsion`, as (point, multiplicity, order) triples, and the rational
+    roots found at larger j) deflated at their multiplicities in g^(j).
+    Each is lifted to heights.digits and reconstructed (`_rational_label`);
+    a label equal to a known torsion point is that point, found again.
     Returns ([(u, multiplicity)] ascending, complete); complete is False
-    when a refinement left a cluster, which may hide a rational root.
+    when a refinement left a cluster, which may hide a multiple root.
     """
     found: dict[Fraction, int] = {}
     complete = True
     lift_to = max(opts.prec, heights.digits)
     torsion_points = {_torsion_rational(d, g.p, 0) for _, _, d in torsion}
-    for j in reversed(range(min(order, g.sparsity()))):
+    for j in reversed(range(1, min(order, g.sparsity()))):
         gj = g
         for _ in range(j):
             gj = gj.derivative()
@@ -274,7 +278,7 @@ def rational_roots_with_multiplicity(g: ModImage, r: int, order: int,
         known = [(point, mu - j, d) for point, mu, d in torsion if mu > j]
         known += [(u, mu - j, None) for u, mu in found.items() if mu > j]
         entries, clusters = _on_demand(functools.partial(
-            _refine_class, gj, r, known, 0, CountOptions(lift_to, opts.depth)), opts.prec)
+            _refine_class, gj, r, known, 0, None, CountOptions(lift_to, opts.depth)), opts.prec)
         complete = complete and not clusters
         for entry in entries:
             u = _rational_label(g, heights, entry.value.unit_mod(lift_to), lift_to)
@@ -568,7 +572,7 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
             raise InternalError("exact multiplicities exceed the residue order")
         if remaining:
             sub_entries, sub_clusters = _on_demand(functools.partial(
-                _refine_class, g, r, exact_points, remaining, opts), n)
+                _refine_class, g, r, exact_points, remaining, heights, opts), n)
             entries.extend(sub_entries)
             clusters.extend(sub_clusters)
     return entries, clusters
@@ -586,13 +590,13 @@ def _on_demand(attempt, n: int):
 
 
 def _refine_class(g: ModImage, r: int, exact_points, bound: int,
-                  opts: CountOptions, n: int):
+                  heights: _Heights | None, opts: CountOptions, n: int):
     """The at most `bound` roots of g in the unit class r + pZ_p other than
     `exact_points`, at n working digits; entries carry opts.prec digits.
 
     g on the class is a dense polynomial in y, x = r + p*y, truncated mod
     p^(n-1), with each (point, multiplicity, order) of `exact_points`
-    divided out; `_local_count` refines it.
+    divided out; `_local_count` refines it, labelling roots by `heights`.
     """
     p, m_exp = g.p, n - 1
     mod = p**m_exp
@@ -602,7 +606,7 @@ def _refine_class(g: ModImage, r: int, exact_points, bound: int,
             h = _deflate(h, ((_point_mod(point, p, n) - r) // p) % mod, mu, p, m_exp)
     except PrecisionExhausted:
         return [], [UnresolvedCluster(g.m, r, 1, bound, 0, "precision")]
-    return _local_count(h, m_exp, opts.depth, r, 1, g, opts, inherited_bound=bound)
+    return _local_count(h, m_exp, opts.depth, r, 1, g, heights, opts, inherited_bound=bound)
 
 
 def _exact_entry(g: ModImage, point, mu, order, r, n) -> RootEntry:
@@ -630,12 +634,12 @@ def _digit_zeros(h: list[int], p: int) -> list[tuple[int, int]]:
     return zeros + [(r, _residue_order(support, p, r)) for r, _ in _unit_zeros(support, p)]
 
 
-def _local_count(h, m_exp, depth, center, level, g: ModImage, opts, inherited_bound):
+def _local_count(h, m_exp, depth, center, level, g: ModImage, heights, opts, inherited_bound):
     """Count Z_p-roots of the dense local polynomial h (truncated mod p^m_exp).
 
     `center`/`level` track the unit-coordinate class center + p^level Z_p
     this polynomial describes; certified roots are polished against the
-    sparse g before being reported.
+    sparse g before being reported, a rational one as an exact point.
     """
     p, m = g.p, g.m
     entries: list[RootEntry] = []
@@ -651,7 +655,9 @@ def _local_count(h, m_exp, depth, center, level, g: ModImage, opts, inherited_bo
             y = newton_lift(lambda _: enumerate(normalized), p, digit, 0, 1, new_m)
             x_res = (center + p**level * y) % p ** (level + new_m)
             try:
-                entries.append(_hensel_entry(g, x_res, level + new_m, opts.prec))
+                entry = _hensel_entry(g, x_res, level + new_m, opts.prec, heights)
+                entries.append(entry if entry.rational is None else _exact_entry(
+                    g, entry.rational / Fraction(p) ** m, 1, None, center, opts.prec))
             except (PreconditionFailed, PrecisionExhausted):
                 clusters.append(UnresolvedCluster(m, new_center, level + 1, 1,
                                                   opts.depth - depth, "precision"))
@@ -662,7 +668,7 @@ def _local_count(h, m_exp, depth, center, level, g: ModImage, opts, inherited_bo
             continue
         shifted = taylor_shift_truncate(enumerate(normalized), digit, p, new_m)
         sub_e, sub_c = _local_count(shifted, new_m, depth - 1, new_center,
-                                    level + 1, g, opts, inherited_bound=k)
+                                    level + 1, g, heights, opts, inherited_bound=k)
         entries.extend(sub_e)
         clusters.extend(sub_c)
     return entries, clusters
@@ -694,9 +700,9 @@ def verify_upper_bounds(report: RootReport, t: int, p: int) -> list[BoundCheck]:
     )
     descartes = BoundCheck(
         name="descartes-rational-diagnostic",
-        value=2 * t,
+        value=descartes_bound(t),
         applicable=True,
-        satisfied=rational_mult <= 2 * t,
+        satisfied=rational_mult <= descartes_bound(t),
         observed=rational_mult,
     )
     return [main, descartes]

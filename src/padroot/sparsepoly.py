@@ -260,17 +260,17 @@ def taylor_shift_truncate(pairs, r: int, p: int, n: int) -> list[int]:
 class Segment:
     """One maximal segment of a Newton polygon."""
 
-    __slots__ = ("slope", "length", "start", "end")
+    __slots__ = ("length", "start", "end")
 
     def __init__(self, start, end):
         self.start = start
         self.end = end
         self.length = end[0] - start[0]
-        self.slope = Fraction(end[1] - start[1], self.length)
 
-    def root_valuation(self) -> Fraction:
-        """Valuation of the roots this segment accounts for."""
-        return -self.slope
+    @property
+    def slope(self) -> Fraction:
+        """Minus the valuation of the roots this segment accounts for."""
+        return Fraction(self.end[1] - self.start[1], self.length)
 
     def __repr__(self):
         return f"Segment(slope={self.slope}, length={self.length})"
@@ -298,9 +298,9 @@ class NewtonPolygon:
         """Valuations in Z that roots in Q_p can have, left to right."""
         out = []
         for seg in self.segments:
-            m = seg.root_valuation()
-            if m.denominator == 1:
-                out.append(int(m))
+            m, rem = divmod(seg.start[1] - seg.end[1], seg.length)
+            if not rem:
+                out.append(m)
         return out
 
     def __repr__(self):
@@ -434,11 +434,13 @@ def poly_to_obj(f: SparsePoly) -> dict:
 
 
 def poly_from_obj(data: dict) -> SparsePoly:
+    """The inverse of `poly_to_obj`: integer exponents, integer or string coefficients."""
     try:
-        pairs = data["terms"]
         terms = {}
-        for e, c in pairs:
-            e = int(e)
+        for e, c in data["terms"]:
+            if type(e) is not int or type(c) not in (int, str):
+                raise TypeError(f"term {[e, c]}: the exponent must be an integer "
+                                "and the coefficient an integer or a string")
             if e in terms:
                 raise DuplicateExponent(f"duplicate exponent {e}")
             terms[e] = Fraction(c)

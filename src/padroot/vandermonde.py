@@ -193,25 +193,11 @@ def binomial_det(indices, eval_at=None):
         # Column j holds (a)_{k_j} = k_j! C(a, k_j): ints at integer points,
         # Fractions at rational ones, so one determinant serves either.
         matrix = [[math.prod(a - c for c in range(k)) for k in indices] for a in eval_at]
-        return Fraction(_cofactor_det(matrix), math.prod(map(math.factorial, indices)))
+        return Fraction(det(matrix), math.prod(map(math.factorial, indices)))
 
     rows = [[math.prod((MultiPoly.monomial(t, i) - MultiPoly.const(t, c) for c in range(k)),
                        start=MultiPoly.const(t, 1)) for k in indices] for i in range(t)]
     return det(rows)
-
-
-def _cofactor_det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for i in range(n):
-        if not matrix[i][0]:
-            continue
-        minor = [row[1:] for r, row in enumerate(matrix) if r != i]
-        sub = _cofactor_det(minor)
-        total += (-1) ** i * matrix[i][0] * sub
-    return total
 
 
 @lru_cache(maxsize=1024)
@@ -300,10 +286,10 @@ def identity_grid_report(t_max: int, alpha_max: int):
                     "degree_det": determinant.is_homogeneous()
                     and determinant.total_degree() == deg_v_expect,
                     "degree_quotient": quotient.is_homogeneous()
-                    and (quotient.is_zero() or quotient.total_degree() == deg_p_expect),
+                    and (not quotient or quotient.total_degree() == deg_p_expect),
                     "specialization": quotient == specialization_quotient(powers, blocks),
                     "shift_expansion": check_shift_expansion(powers, blocks, expansion_cap),
-                    "quotient_nonzero": not quotient.is_zero(),
+                    "quotient_nonzero": bool(quotient),
                 }
                 rows.append({"powers": powers, "blocks": blocks, "kind": "quotient", **checks})
             if t >= 1:

@@ -179,7 +179,16 @@ def test_config_file_errors_exit_1(capsys, tmp_path, monkeypatch, content):
 
 
 @pytest.mark.parametrize("content", ['{"terms": [[0, "-1/1"], ', '{"terms": [[0, "1/0"]]}',
-                                     b"\xff\xfe{"], ids=["malformed", "zero-den", "not-utf8"])
+                                     b"\xff\xfe{", '{"terms": [[0, "-1"], [2.7, "1"]]}',
+                                     '{"terms": [[0, "-1"], [2.0, "1"]]}',
+                                     '{"terms": [[0, "-1"], [true, "1"]]}',
+                                     '{"terms": [[0, "-1"], ["2", "1"]]}',
+                                     '{"terms": [[0, -1], [2, 1.5]]}',
+                                     '{"terms": [[0, -1], [2, true]]}',
+                                     '{"terms": [[0, -1], [2, null]]}'],
+                         ids=["malformed", "zero-den", "not-utf8", "float-exponent",
+                              "integral-float-exponent", "bool-exponent", "string-exponent",
+                              "float-coefficient", "bool-coefficient", "null-coefficient"])
 def test_poly_file_errors_exit_1(capsys, tmp_path, content):
     poly_file = tmp_path / "poly.json"
     if isinstance(content, bytes):
@@ -270,8 +279,14 @@ def test_descent_without_pth_powers_exits_0(capsys):
      "--coeff-modulus-exp", "0"],
     ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--mode", "exhaustive",
      "--coeff-modulus-exp", "-1"],
+    ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--candidates", "0"],
+    ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--candidates", "-3"],
+    ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--workers", "0"],
+    ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--workers", "-2"],
 ], ids=["np-p0", "np-p1", "np-p4", "bounds-p4", "search-max-exp",
-        "search-no-random-coeffs", "search-no-exhaustive-coeffs", "search-negative-modulus-exp"])
+        "search-no-random-coeffs", "search-no-exhaustive-coeffs", "search-negative-modulus-exp",
+        "search-no-candidates", "search-negative-candidates", "search-no-workers",
+        "search-negative-workers"])
 def test_bad_prime_or_exponent_bound_exits_1(capsys, command):
     code, out, err = run(capsys, command)
     assert code == EXIT_USAGE

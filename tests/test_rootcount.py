@@ -59,7 +59,7 @@ def test_segment_binomial_formula():
         f0 = scale_substitute(f, p, 0)
         support = f0.exponents()
         for seg in newton_polygon(f0, p).segments:
-            m, (s, _), (e, _) = seg.root_valuation(), seg.start, seg.end
+            m, (s, _), (e, _) = -seg.slope, seg.start, seg.end
             w = e - s
             if m.denominator != 1 or not w % p or support.index(e) != support.index(s) + 1:
                 continue
@@ -137,6 +137,51 @@ def test_rational_search_only_where_torsion_leaves_room(monkeypatch, p, text, se
     report = count_roots(parse_poly(text), p, OPTS)
     assert report.fully_certified
     assert bool(calls) == searched
+
+
+@pytest.mark.parametrize("text, p, refinements, entries, clusters", [
+    # (x-1)(x^2-6): 1 and a root of x^2 - 6 share the class 1 mod 5
+    ("x^3 - x^2 - 6*x + 6", 5, 2,
+     [(EXACT_TORSION, 1, Fraction(1), 1, 1, False),
+      (HENSEL_SIMPLE, 1, None, 35817391, 1, True),
+      (HENSEL_SIMPLE, 1, None, 208323234, 0, True)], []),
+    # (x^2-2)^2: a double irrational root in each of the classes 3 and 4 mod 7
+    ("x^4 - 4*x^2 + 4", 7, 4, [],
+     [(0, 15491487, 10, 2, 8, "depth"), (0, 266983762, 10, 2, 8, "depth")]),
+    # (x-2)(x-7)(x-3): 2 and 7 are simple rationals sharing the class 2 mod 5
+    ("x^3 - 12*x^2 + 41*x - 42", 5, 2,
+     [(EXACT_RATIONAL, 1, Fraction(2), 2, 1, False),
+      (HENSEL_SIMPLE, 1, Fraction(3), 3, 0, True),
+      (EXACT_RATIONAL, 1, Fraction(7), 7, 1, False)], []),
+])
+def test_multiple_class_refined_once(monkeypatch, text, p, refinements, entries, clusters):
+    # the derivative passes refine the class on g' ... g^(k-1), and the
+    # simple roots of g in it are labelled by the one refinement on g
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return refine_class(*args)
+
+    refine_class = rootcount._refine_class
+    monkeypatch.setattr(rootcount, "_refine_class", counted)
+    report = count_roots(parse_poly(text), p, OPTS)
+    assert len(calls) == refinements
+    assert [(e.certificate, e.multiplicity, e.rational, e.value.unit_mod(12), e.val_fprime,
+             e.hensel is not None) for e in report.entries] == entries
+    assert [(c.valuation, c.center, c.level, c.upper_bound, c.depth_reached, c.reason)
+            for c in report.unresolved] == clusters
+
+
+def test_roots_sharing_their_reported_digits_list_exact_points_by_value():
+    # (x-2)(x+390623)(x-3) at p = 5 with 6 digits: 2 and 2 - 5^8 agree in
+    # every reported digit, so they are listed by value
+    report = count_roots(parse_poly("x^3 + 390618*x^2 - 1953109*x + 2343738"), 5,
+                         CountOptions(prec=6))
+    assert report.fully_certified
+    assert [e.rational for e in report.entries] == [Fraction(-390623), Fraction(2),
+                                                     Fraction(3)]
+    assert [e.value.unit_mod(6) for e in report.entries[:2]] == [2, 2]
 
 
 def test_torsion_multiplicity_q5_example():
