@@ -285,23 +285,24 @@ def det(matrix):
     """Determinant by cofactor expansion along the sparsest column; the
     entries are MultiPolys or numbers, tested and summed as they come."""
     n = len(matrix)
-    if n == 0:
-        raise InternalError("empty matrix")
-    for row in matrix:
-        if len(row) != n:
-            raise InternalError("determinant of a non-square matrix")
-    if n == 1:
-        return matrix[0][0]
+    if n == 0 or any(len(row) != n for row in matrix):
+        raise InternalError("determinant of an empty or non-square matrix")
+    return _expand(matrix)
 
-    col = min(range(n), key=lambda j: sum(1 for row in matrix if row[j]))
+
+def _expand(matrix):
+    if len(matrix) == 1:
+        return matrix[0][0]
+    if len(matrix) == 2:
+        (a, b), (c, d) = matrix
+        return a * d - b * c
+    counts = [sum(map(bool, column)) for column in zip(*matrix)]
+    col = counts.index(min(counts))
     terms = []
-    for i in range(n):
-        entry = matrix[i][col]
-        if not entry:
+    for i, row in enumerate(matrix):
+        if not row[col]:
             continue
-        cofactor = det([row[:col] + row[col + 1:] for r, row in enumerate(matrix) if r != i])
-        if (i + col) % 2:
-            cofactor = -cofactor
-        terms.append(entry * cofactor)
+        cofactor = _expand([r[:col] + r[col + 1:] for k, r in enumerate(matrix) if k != i])
+        terms.append(row[col] * (-cofactor if (i + col) % 2 else cofactor))
     # a column of zeros holds a zero of the entries' own type
     return sum(terms[1:], start=terms[0]) if terms else matrix[0][col]

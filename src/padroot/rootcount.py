@@ -75,9 +75,7 @@ class RootEntry:
 
     def sort_key(self):
         digits = self.value.unit_mod(min(self.value.prec, 12))
-        # roots sharing these digits: exact points first, rationals by value
-        rank = (EXACT_TORSION, EXACT_RATIONAL, HENSEL_SIMPLE).index(self.certificate)
-        return (self.valuation, digits, rank, self.rational or 0)
+        return (self.valuation, digits)
 
     def describe(self) -> str:
         if self.rational is not None:
@@ -255,8 +253,8 @@ def rational_roots_with_multiplicity(g: ModImage, r: int, order: int,
 
     g is in unit coordinates and ḡ has a zero of order >= 2 at r.  A root
     of multiplicity mu >= 2 is a simple root of g^(mu-1), mu <= min(order, t)
-    for a (t+1)-nomial; simple roots are labelled where the class's one
-    refinement on g lifts them (`_local_count`).  So for j = min(order, t) - 1
+    for a (t+1)-nomial; simple roots are labelled where the class's
+    refinement on g lifts them (`_refine_rest`).  So for j = min(order, t) - 1
     down to 1 the simple roots of g^(j) in the class are found by the
     counter's own residue refinement, with the exact points already known
     (`torsion`, as (point, multiplicity, order) triples, and the rational
@@ -396,10 +394,11 @@ def _hensel_entry(g: ModImage, start: int, known: int, prec: int,
     `hensel_lift` reaches from `start`, a unit residue known to `known` digits.
 
     Evaluation stays modular, so lacunary exponents in the millions never
-    appear in exact powers.  With heights, u is labelled when rational: a
-    simple residue class holds exactly one root, so a rational one is this
-    one.  The label may need more digits than the report keeps; the lift to
-    them, cut back to prec digits, is the root lifted to prec.
+    appear in exact powers.  With heights, u is labelled by the rational
+    root of g it agrees with in every lifted digit, if any: in a simple
+    residue class that is u itself (`_refine_rest` vets the others).  The
+    label may need more digits than the report keeps; the lift to them,
+    cut back to prec digits, is the root lifted to prec.
     """
     p, m = g.p, g.m
     lift_to = max(prec, heights.digits) if heights else prec
@@ -562,20 +561,38 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
                 g, r, ord0, exact_points, heights, opts)
             exact_points += [(u, mu, None) for u, mu in rationals]
 
-        for point, mu, order in exact_points:
-            entries.append(_exact_entry(g, point, mu, order, r, n))
-
-        # the class holds exactly ord0 roots over C_p; when the exact points
-        # do not account for all of them, deflate those and keep looking
-        remaining = ord0 - sum(mu for _, mu, _ in exact_points)
-        if remaining < 0:
-            raise InternalError("exact multiplicities exceed the residue order")
-        if remaining:
-            sub_entries, sub_clusters = _on_demand(functools.partial(
-                _refine_class, g, r, exact_points, remaining, heights, opts), n)
-            entries.extend(sub_entries)
-            clusters.extend(sub_clusters)
+        sub_entries, sub_clusters = _refine_rest(g, r, ord0, exact_points, heights, opts)
+        entries += sub_entries
+        clusters += sub_clusters
     return entries, clusters
+
+
+def _refine_rest(g: ModImage, r: int, order: int, exact_points, heights, opts):
+    """The entries and clusters of the unit class r, which holds `order`
+    roots of g over C_p, given its (point, multiplicity, order) `exact_points`.
+
+    The exact points are deflated and the rest is refined on g, labelled by
+    heights.  A label among the exact points is an irrational root agreeing
+    with one in every lifted digit.  Any other is a simple rational root, an
+    exact point too: it is deflated and the rest refined again unlabelled,
+    so no Hensel witness depends on where it was met.
+    """
+    remaining = order - sum(mu for _, mu, _ in exact_points)
+    if remaining < 0:
+        raise InternalError("exact multiplicities exceed the residue order")
+    entries, clusters = [], []
+    if remaining:
+        entries, clusters = _on_demand(functools.partial(
+            _refine_class, g, r, exact_points, remaining, heights, opts), opts.prec)
+    known = {point if d is None else _torsion_rational(d, g.p, 0) for point, _, d in exact_points}
+    simple = {e.rational / Fraction(g.p) ** g.m for e in entries if e.rational is not None} - known
+    if simple:
+        torsion = [pt for pt in exact_points if pt[2] is not None]
+        rationals = [pt for pt in exact_points if pt[2] is None] + [(u, 1, None) for u in simple]
+        return _refine_rest(g, r, order, torsion + sorted(rationals), None, opts)
+    for entry in entries:
+        entry.rational = None
+    return [_exact_entry(g, *point, r, opts.prec) for point in exact_points] + entries, clusters
 
 
 def _on_demand(attempt, n: int):
@@ -639,7 +656,7 @@ def _local_count(h, m_exp, depth, center, level, g: ModImage, heights, opts, inh
 
     `center`/`level` track the unit-coordinate class center + p^level Z_p
     this polynomial describes; certified roots are polished against the
-    sparse g before being reported, a rational one as an exact point.
+    sparse g before being reported, and labelled when rational by `heights`.
     """
     p, m = g.p, g.m
     entries: list[RootEntry] = []
@@ -655,9 +672,7 @@ def _local_count(h, m_exp, depth, center, level, g: ModImage, heights, opts, inh
             y = newton_lift(lambda _: enumerate(normalized), p, digit, 0, 1, new_m)
             x_res = (center + p**level * y) % p ** (level + new_m)
             try:
-                entry = _hensel_entry(g, x_res, level + new_m, opts.prec, heights)
-                entries.append(entry if entry.rational is None else _exact_entry(
-                    g, entry.rational / Fraction(p) ** m, 1, None, center, opts.prec))
+                entries.append(_hensel_entry(g, x_res, level + new_m, opts.prec, heights))
             except (PreconditionFailed, PrecisionExhausted):
                 clusters.append(UnresolvedCluster(m, new_center, level + 1, 1,
                                                   opts.depth - depth, "precision"))

@@ -139,24 +139,41 @@ def test_rational_search_only_where_torsion_leaves_room(monkeypatch, p, text, se
     assert bool(calls) == searched
 
 
+N = 5**50
+
+
 @pytest.mark.parametrize("text, p, refinements, entries, clusters", [
     # (x-1)(x^2-6): 1 and a root of x^2 - 6 share the class 1 mod 5
     ("x^3 - x^2 - 6*x + 6", 5, 2,
-     [(EXACT_TORSION, 1, Fraction(1), 1, 1, False),
-      (HENSEL_SIMPLE, 1, None, 35817391, 1, True),
-      (HENSEL_SIMPLE, 1, None, 208323234, 0, True)], []),
+     [(EXACT_TORSION, 1, Fraction(1), 1, 1, None),
+      (HENSEL_SIMPLE, 1, None, 35817391, 1, (38, 38)),
+      (HENSEL_SIMPLE, 1, None, 208323234, 0, (48, 1))], []),
     # (x^2-2)^2: a double irrational root in each of the classes 3 and 4 mod 7
     ("x^4 - 4*x^2 + 4", 7, 4, [],
      [(0, 15491487, 10, 2, 8, "depth"), (0, 266983762, 10, 2, 8, "depth")]),
     # (x-2)(x-7)(x-3): 2 and 7 are simple rationals sharing the class 2 mod 5
     ("x^3 - 12*x^2 + 41*x - 42", 5, 2,
-     [(EXACT_RATIONAL, 1, Fraction(2), 2, 1, False),
-      (HENSEL_SIMPLE, 1, Fraction(3), 3, 0, True),
-      (EXACT_RATIONAL, 1, Fraction(7), 7, 1, False)], []),
+     [(EXACT_RATIONAL, 1, Fraction(2), 2, 1, None),
+      (HENSEL_SIMPLE, 1, Fraction(3), 3, 0, (48, 48)),
+      (EXACT_RATIONAL, 1, Fraction(7), 7, 1, None)], []),
+    # (x-2)(x^2-29): 2 and a root of x^2 - 29 share the class 2 mod 25; 2 is
+    # deflated before that root is refined again, so its witness starts from
+    # the digits it has with 2 known first
+    ("x^3 - 2*x^2 - 29*x + 58", 5, 3,
+     [(EXACT_RATIONAL, 1, Fraction(2), 2, 2, None),
+      (HENSEL_SIMPLE, 1, None, 53150148, 0, (48, 1)),
+      (HENSEL_SIMPLE, 1, None, 190990477, 2, (38, 38))], []),
+    # (x-1)(x^2 + (5^50-3)x + 2): a root of the quadratic agrees with the
+    # torsion point 1 mod 5^50, past every lifted digit, and is not 1
+    (f"x^3 + {N - 4}*x^2 - {N - 5}*x - 2", 5, 4,
+     [(EXACT_TORSION, 1, Fraction(1), 1, None, None),
+      (HENSEL_SIMPLE, 1, None, 1, 50, (158, 158)),
+      (HENSEL_SIMPLE, 1, None, 2, 0, (48, 48))], []),
 ])
 def test_multiple_class_refined_once(monkeypatch, text, p, refinements, entries, clusters):
     # the derivative passes refine the class on g' ... g^(k-1), and the
-    # simple roots of g in it are labelled by the one refinement on g
+    # simple roots of g in it are labelled by the refinement on g, which is
+    # run again only when it finds a simple rational next to other roots
     calls = []
 
     def counted(*args):
@@ -168,9 +185,11 @@ def test_multiple_class_refined_once(monkeypatch, text, p, refinements, entries,
     report = count_roots(parse_poly(text), p, OPTS)
     assert len(calls) == refinements
     assert [(e.certificate, e.multiplicity, e.rational, e.value.unit_mod(12), e.val_fprime,
-             e.hensel is not None) for e in report.entries] == entries
+             e.hensel and (e.hensel.r0.prec, e.hensel.val_f_r0)) for e in report.entries] == entries
     assert [(c.valuation, c.center, c.level, c.upper_bound, c.depth_reached, c.reason)
             for c in report.unresolved] == clusters
+    labels = [e.rational for e in report.entries if e.rational is not None]
+    assert len(labels) == len(set(labels))
 
 
 def test_roots_sharing_their_reported_digits_list_exact_points_by_value():
