@@ -298,11 +298,12 @@ def _expand(matrix):
         return a * d - b * c
     counts = [sum(map(bool, column)) for column in zip(*matrix)]
     col = counts.index(min(counts))
-    terms = []
+    total = None
     for i, row in enumerate(matrix):
         if not row[col]:
             continue
         cofactor = _expand([r[:col] + r[col + 1:] for k, r in enumerate(matrix) if k != i])
-        terms.append(row[col] * (-cofactor if (i + col) % 2 else cofactor))
+        term = row[col] * (-cofactor if (i + col) % 2 else cofactor)
+        total = term if total is None else total + term
     # a column of zeros holds a zero of the entries' own type
-    return sum(terms[1:], start=terms[0]) if terms else matrix[0][col]
+    return matrix[0][col] if total is None else total
