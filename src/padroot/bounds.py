@@ -14,11 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionFailed, ScanWindowExceeded
+from .errors import PreconditionFailed
 from .padic import int_valuation, is_prime
-
-LENSTRA_RUNOUT = 20
-LENSTRA_SCAN_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -122,35 +119,21 @@ def vp_distinct_product_lcm(t: int, m: int, p: int) -> int:
 def lenstra_threshold(p: int, t: int, r: Fraction | int) -> int:
     """The largest m with m r - v_p(d_t(m)) <= max_i (i r - v_p(i!)), i <= t.
 
-    No a-priori scan bound exists, so the scan commits only after the margin
-    has stayed above the threshold and strictly increased for LENSTRA_RUNOUT
-    consecutive values of m; ScanWindowExceeded if that never stabilizes
-    by m = LENSTRA_SCAN_CAP.
+    No integer below p^(L+1) has v_p above L, so v_p(d_t(m)) <= t L there,
+    and the block [p^L, p^(L+1)) can hold such an m only up to
+    (rhs + t L)/r.  The block's lower bound p^L r - t L on the margin grows
+    with L from the first L with p^L (p-1) r >= t on, so the scan stops at
+    the first such L where that bound exceeds the right-hand side.
     """
     r = Fraction(r)
     if r <= 0:
         raise PreconditionFailed("r must be positive")
     rhs = max(i * r - _vp_factorial(i, p) for i in range(t + 1))
-
-    best = None
-    streak = 0
-    prev_margin = None
-    m = 0
-    while m <= LENSTRA_SCAN_CAP:
-        margin = m * r - vp_distinct_product_lcm(t, m, p)
-        if margin <= rhs:
-            best = m
-            streak = 0
-            prev_margin = None
-        else:
-            if prev_margin is None or margin > prev_margin:
-                streak += 1
-            else:
-                streak = 0
-            prev_margin = margin
-            if best is not None and streak >= LENSTRA_RUNOUT:
-                return best
-        m += 1
-    raise ScanWindowExceeded(
-        f"threshold scan did not stabilize within m <= {LENSTRA_SCAN_CAP}"
-    )
+    best, level = 0, 0  # m = 0 always qualifies: rhs >= 0
+    while p**level * r - t * level <= rhs or p**level * (p - 1) * r < t:
+        top = min(p ** (level + 1) - 1, math.floor((rhs + t * level) / r))
+        for m in range(p**level, top + 1):
+            if m * r - vp_distinct_product_lcm(t, m, p) <= rhs:
+                best = m
+        level += 1
+    return best

@@ -31,10 +31,6 @@ class CapExceeded(PadrootError):
     """A configurable size cap (exponent bound, enumeration bound) was hit."""
 
 
-class ScanWindowExceeded(PadrootError):
-    """A bounded scan ended without meeting its stabilization condition."""
-
-
 class SearchExhausted(PadrootError):
     """A bounded constructive search ran out of candidates.
 

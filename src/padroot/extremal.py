@@ -177,6 +177,8 @@ def build_family(t: int, q: int, opts: BuildOptions | None = None) -> ExtremalBu
         raise PreconditionFailed("q must be an odd prime")
     if t < 1:
         raise PreconditionFailed("t must be positive")
+    if opts.alpha_window < 1 or opts.eps_window < 1:
+        raise PreconditionFailed("alpha_window and eps_window must be positive")
 
     log: list[dict] = []
     current = binomial_base(q)

@@ -8,7 +8,9 @@ cleared of exactly-known roots -- torsion points, certified by cyclotomic
 divisibility of the exponent-folded polynomial, and rational points,
 certified by exact evaluation -- whose multiplicities are therefore exact;
 the recursion continues on the deflated local polynomial so roots sharing
-the class are still found.  A segment joining adjacent support points needs
+the class are still found; a multiple root left undeflated ends in a
+cluster, so only a class whose refinement leaves one is searched for
+multiple rationals.  A segment joining adjacent support points needs
 no path of its own: its reduction is a binomial, so the refinement finds
 the gcd(p-1, width) solutions of one power congruence, or none, all simple
 when p does not divide the width.  Rational points are never searched for
@@ -254,7 +256,8 @@ def rational_roots_with_multiplicity(g: ModImage, r: int, order: int,
     g is in unit coordinates and ḡ has a zero of order >= 2 at r.  A root
     of multiplicity mu >= 2 is a simple root of g^(mu-1), mu <= min(order, t)
     for a (t+1)-nomial; simple roots are labelled where the class's
-    refinement on g lifts them (`_refine_rest`).  So for j = min(order, t) - 1
+    refinement on g lifts them, and `_refine_rest` calls this search only
+    when that refinement leaves a cluster.  So for j = min(order, t) - 1
     down to 1 the simple roots of g^(j) in the class are found by the
     counter's own residue refinement, with the exact points already known
     (`torsion`, as (point, multiplicity, order) triples, and the rational
@@ -548,18 +551,14 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
             entries.append(_hensel_entry(g, r, n + 8, n, heights))
             continue
 
-        # exactly representable roots of this residue class, as
-        # (point, multiplicity, torsion order or None for a rational)
+        # the torsion point of this residue class, as (point, multiplicity,
+        # order); `_refine_rest` looks for the rational ones
         exact_points = []
         d = (p - 1) // math.gcd(i, p - 1)  # the order of r = gamma^i
         if d not in tor_mults:
             tor_mults[d] = torsion_multiplicity(g, d)
         if tor_mults[d] > 0:
             exact_points.append((teichmuller(p, r, n), tor_mults[d], d))
-        if heights and tor_mults[d] < ord0:  # else the torsion point fills the class
-            rationals, _ = rational_roots_with_multiplicity(
-                g, r, ord0, exact_points, heights, opts)
-            exact_points += [(u, mu, None) for u, mu in rationals]
 
         sub_entries, sub_clusters = _refine_rest(g, r, ord0, exact_points, heights, opts)
         entries += sub_entries
@@ -572,10 +571,13 @@ def _refine_rest(g: ModImage, r: int, order: int, exact_points, heights, opts):
     roots of g over C_p, given its (point, multiplicity, order) `exact_points`.
 
     The exact points are deflated and the rest is refined on g, labelled by
-    heights.  A label among the exact points is an irrational root agreeing
-    with one in every lifted digit.  Any other is a simple rational root, an
-    exact point too: it is deflated and the rest refined again unlabelled,
-    so no Hensel witness depends on where it was met.
+    heights.  A multiple root left in the rest ends in a cluster, so only a
+    cluster, with no rational point known yet, calls for the derivative
+    search; the rationals it finds are deflated and the class refined again.
+    A label among the exact points is an irrational root agreeing with one
+    in every lifted digit.  Any other is a simple rational root, an exact
+    point too: it is deflated and the rest refined again unlabelled, so no
+    Hensel witness depends on where it was met.
     """
     remaining = order - sum(mu for _, mu, _ in exact_points)
     if remaining < 0:
@@ -584,6 +586,11 @@ def _refine_rest(g: ModImage, r: int, order: int, exact_points, heights, opts):
     if remaining:
         entries, clusters = _on_demand(functools.partial(
             _refine_class, g, r, exact_points, remaining, heights, opts), opts.prec)
+    if heights and clusters and all(d is not None for _, _, d in exact_points):
+        rationals, _ = rational_roots_with_multiplicity(g, r, order, exact_points, heights, opts)
+        if rationals:
+            exact_points = exact_points + [(u, mu, None) for u, mu in rationals]
+            return _refine_rest(g, r, order, exact_points, heights, opts)
     known = {point if d is None else _torsion_rational(d, g.p, 0) for point, _, d in exact_points}
     simple = {e.rational / Fraction(g.p) ** g.m for e in entries if e.rational is not None} - known
     if simple:
@@ -623,7 +630,7 @@ def _refine_class(g: ModImage, r: int, exact_points, bound: int,
             h = _deflate(h, ((_point_mod(point, p, n) - r) // p) % mod, mu, p, m_exp)
     except PrecisionExhausted:
         return [], [UnresolvedCluster(g.m, r, 1, bound, 0, "precision")]
-    return _local_count(h, m_exp, opts.depth, r, 1, g, heights, opts, inherited_bound=bound)
+    return _local_count(h, m_exp, r, 1, g, heights, opts, inherited_bound=bound)
 
 
 def _exact_entry(g: ModImage, point, mu, order, r, n) -> RootEntry:
@@ -651,7 +658,7 @@ def _digit_zeros(h: list[int], p: int) -> list[tuple[int, int]]:
     return zeros + [(r, _residue_order(support, p, r)) for r, _ in _unit_zeros(support, p)]
 
 
-def _local_count(h, m_exp, depth, center, level, g: ModImage, heights, opts, inherited_bound):
+def _local_count(h, m_exp, center, level, g: ModImage, heights, opts, inherited_bound):
     """Count Z_p-roots of the dense local polynomial h (truncated mod p^m_exp).
 
     `center`/`level` track the unit-coordinate class center + p^level Z_p
@@ -664,7 +671,7 @@ def _local_count(h, m_exp, depth, center, level, g: ModImage, heights, opts, inh
     normalized, new_m = _dense_normalize(h, p, m_exp)
     if normalized is None or new_m < MIN_WORKING_PREC:
         return entries, [UnresolvedCluster(m, center, level, inherited_bound,
-                                           opts.depth - depth, "precision")]
+                                           level - 1, "precision")]
 
     for digit, k in _digit_zeros(normalized, p):
         new_center = center + digit * p**level
@@ -675,15 +682,15 @@ def _local_count(h, m_exp, depth, center, level, g: ModImage, heights, opts, inh
                 entries.append(_hensel_entry(g, x_res, level + new_m, opts.prec, heights))
             except (PreconditionFailed, PrecisionExhausted):
                 clusters.append(UnresolvedCluster(m, new_center, level + 1, 1,
-                                                  opts.depth - depth, "precision"))
+                                                  level - 1, "precision"))
             continue
-        if depth <= 0:
+        if level > opts.depth:
             clusters.append(UnresolvedCluster(m, new_center, level + 1, k,
-                                              opts.depth, "depth"))
+                                              level - 1, "depth"))
             continue
         shifted = taylor_shift_truncate(enumerate(normalized), digit, p, new_m)
-        sub_e, sub_c = _local_count(shifted, new_m, depth - 1, new_center,
-                                    level + 1, g, heights, opts, inherited_bound=k)
+        sub_e, sub_c = _local_count(shifted, new_m, new_center, level + 1, g, heights, opts,
+                                    inherited_bound=k)
         entries.extend(sub_e)
         clusters.extend(sub_c)
     return entries, clusters

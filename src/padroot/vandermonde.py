@@ -271,6 +271,8 @@ def identity_grid_report(t_max: int, alpha_max: int):
     expansion; merge-identity rows are emitted separately for block vectors
     one short of square.  Returns a list of dict rows plus a summary dict.
     """
+    if not 1 <= t_max <= alpha_max:
+        raise PreconditionFailed(f"need 1 <= t <= alpha_max, got t={t_max}, alpha_max={alpha_max}")
     expansion_cap = max(DEFAULT_EXPANSION_CAP, alpha_max)
     rows = []
     for t in range(1, t_max + 1):

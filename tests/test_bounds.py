@@ -151,6 +151,29 @@ def test_threshold_equals_t_when_p_large():
 def test_threshold_examples():
     assert lenstra_threshold(5, 2, 1) == 2
     assert lenstra_threshold(7, 3, 1) == 3
+    # at p = 3 the margin m - v_3(d_t(m)) climbs from m = t, then falls
+    # back to the right-hand side at m = 45 and 54; a scan to m = 1500 agrees
+    assert lenstra_threshold(3, 43, 1) == 45
+    assert lenstra_threshold(3, 50, 1) == 54
+
+
+def _v(n, p):
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def test_threshold_matches_plain_scan():
+    # the largest qualifying m found by scanning every m <= 300; the block
+    # bound puts each of these thresholds far below 300
+    for p in (3, 5, 7):
+        for t in range(0, 7):
+            for r in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 2), Fraction(2)):
+                rhs = max(i * r - _v(math.factorial(i), p) for i in range(t + 1))
+                scan = max(m for m in range(301)
+                           if m * r - vp_distinct_product_lcm(t, m, p) <= rhs)
+                assert lenstra_threshold(p, t, r) == scan < 200, (p, t, r)
 
 
 def test_threshold_small_prime_recorded():

@@ -71,6 +71,12 @@ def test_bounds_beyond_t_6(capsys):
     assert doc["bounds"]["d_t_table"]["10"] == 2**8 * 3**4 * 5**2 * 7
 
 
+def test_bounds_threshold_for_large_t(capsys):
+    code, out, err = run(capsys, ["bounds", "--t", "50", "--p", "3"])
+    assert code == EXIT_OK, err
+    assert "lenstra threshold C(p,t,1/e): 54" in out
+
+
 def test_newton_polygon_command(capsys):
     code, out, _ = run(capsys, ["newton-polygon", "--p", "3",
                                 "--poly", "x^20-10*x^2+9"])
@@ -283,10 +289,16 @@ def test_descent_without_pth_powers_exits_0(capsys):
     ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--candidates", "-3"],
     ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--workers", "0"],
     ["search", "--p", "3", "--t", "2", "--max-exp", "5", "--workers", "-2"],
+    ["vandermonde-check", "--t", "0", "--alpha-max", "4"],
+    ["vandermonde-check", "--t", "-1", "--alpha-max", "4"],
+    ["vandermonde-check", "--t", "2", "--alpha-max", "-3"],
+    ["build-extremal", "--t", "2", "--q", "3", "--alpha-window", "-1"],
+    ["build-extremal", "--t", "2", "--q", "3", "--eps-window", "0"],
 ], ids=["np-p0", "np-p1", "np-p4", "bounds-p4", "search-max-exp",
         "search-no-random-coeffs", "search-no-exhaustive-coeffs", "search-negative-modulus-exp",
         "search-no-candidates", "search-negative-candidates", "search-no-workers",
-        "search-negative-workers"])
+        "search-negative-workers", "grid-t0", "grid-negative-t", "grid-negative-alpha-max",
+        "extremal-negative-alpha-window", "extremal-zero-eps-window"])
 def test_bad_prime_or_exponent_bound_exits_1(capsys, command):
     code, out, err = run(capsys, command)
     assert code == EXIT_USAGE

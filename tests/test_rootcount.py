@@ -122,9 +122,19 @@ def test_torsion_multiplicity_once_per_order(monkeypatch):
     assert sorted(calls) == [1, 2, 4, 5, 10, 20, 25, 50, 100]
 
 
+TOWER_2_7 = "x^705900 + 1/117648*x^6 + 157774040966226142650024287/117648"
+
+
 @pytest.mark.parametrize("p, text, searched", [
     (101, "x^200 - 2*x^100 + 1", False),  # double torsion points fill their classes
     (5, "81*x^3 - 279*x^2 + 112*x - 12", True),  # the double rational root 2/9
+    # (x-1)(x^2-6): the torsion point 1 is deflated and the class's
+    # refinement lifts the root of x^2 - 6 beside it, leaving no cluster
+    (5, "x^3 - x^2 - 6*x + 6", False),
+    # (x^2-2)^2: the double irrational roots stay clusters, so each class is
+    # searched and nothing is found
+    (7, "x^4 - 4*x^2 + 4", True),
+    (7, TOWER_2_7, False),  # the (2, 7) tower member: its refinements leave no cluster
 ])
 def test_rational_search_only_where_torsion_leaves_room(monkeypatch, p, text, searched):
     calls = []
@@ -135,7 +145,7 @@ def test_rational_search_only_where_torsion_leaves_room(monkeypatch, p, text, se
 
     monkeypatch.setattr(rootcount, "rational_roots_with_multiplicity", counted)
     report = count_roots(parse_poly(text), p, OPTS)
-    assert report.fully_certified
+    assert report.fully_certified == (text != "x^4 - 4*x^2 + 4")
     assert bool(calls) == searched
 
 
@@ -144,7 +154,7 @@ N = 5**50
 
 @pytest.mark.parametrize("text, p, refinements, entries, clusters", [
     # (x-1)(x^2-6): 1 and a root of x^2 - 6 share the class 1 mod 5
-    ("x^3 - x^2 - 6*x + 6", 5, 2,
+    ("x^3 - x^2 - 6*x + 6", 5, 1,
      [(EXACT_TORSION, 1, Fraction(1), 1, 1, None),
       (HENSEL_SIMPLE, 1, None, 35817391, 1, (38, 38)),
       (HENSEL_SIMPLE, 1, None, 208323234, 0, (48, 1))], []),
@@ -152,28 +162,29 @@ N = 5**50
     ("x^4 - 4*x^2 + 4", 7, 4, [],
      [(0, 15491487, 10, 2, 8, "depth"), (0, 266983762, 10, 2, 8, "depth")]),
     # (x-2)(x-7)(x-3): 2 and 7 are simple rationals sharing the class 2 mod 5
-    ("x^3 - 12*x^2 + 41*x - 42", 5, 2,
+    ("x^3 - 12*x^2 + 41*x - 42", 5, 1,
      [(EXACT_RATIONAL, 1, Fraction(2), 2, 1, None),
       (HENSEL_SIMPLE, 1, Fraction(3), 3, 0, (48, 48)),
       (EXACT_RATIONAL, 1, Fraction(7), 7, 1, None)], []),
     # (x-2)(x^2-29): 2 and a root of x^2 - 29 share the class 2 mod 25; 2 is
     # deflated before that root is refined again, so its witness starts from
     # the digits it has with 2 known first
-    ("x^3 - 2*x^2 - 29*x + 58", 5, 3,
+    ("x^3 - 2*x^2 - 29*x + 58", 5, 2,
      [(EXACT_RATIONAL, 1, Fraction(2), 2, 2, None),
       (HENSEL_SIMPLE, 1, None, 53150148, 0, (48, 1)),
       (HENSEL_SIMPLE, 1, None, 190990477, 2, (38, 38))], []),
     # (x-1)(x^2 + (5^50-3)x + 2): a root of the quadratic agrees with the
     # torsion point 1 mod 5^50, past every lifted digit, and is not 1
-    (f"x^3 + {N - 4}*x^2 - {N - 5}*x - 2", 5, 4,
+    (f"x^3 + {N - 4}*x^2 - {N - 5}*x - 2", 5, 3,
      [(EXACT_TORSION, 1, Fraction(1), 1, None, None),
       (HENSEL_SIMPLE, 1, None, 1, 50, (158, 158)),
       (HENSEL_SIMPLE, 1, None, 2, 0, (48, 48))], []),
 ])
 def test_multiple_class_refined_once(monkeypatch, text, p, refinements, entries, clusters):
-    # the derivative passes refine the class on g' ... g^(k-1), and the
-    # simple roots of g in it are labelled by the refinement on g, which is
-    # run again only when it finds a simple rational next to other roots
+    # the class is refined once on g, which labels its simple roots; the
+    # derivative passes on g' ... g^(k-1) run only when that refinement
+    # leaves a cluster, and the refinement on g is run again only when it
+    # finds a simple rational next to other roots
     calls = []
 
     def counted(*args):
@@ -762,6 +773,36 @@ def test_planted_exact_roots_match_oracle():
                     assert any(e.torsion is not None and e.valuation == m
                                and e.value.unit_mod(1) == a and e.multiplicity >= mu
                                for e in report.entries), (f.terms, p, a)
+
+
+def test_multiple_rational_beside_close_simple_roots_matches_oracle():
+    # (b x - a)^k times (x - c)^2 - p^(2j) d, c = a/b mod p and d a square
+    # mod p: the planted rational shares its class with two simple roots of
+    # Q_p agreeing mod p^j, rational when d is a square and irrational
+    # otherwise.  The multiple root always leaves a cluster in the class's
+    # first refinement, so the derivative search must find a/b there.  The
+    # oracle refines digit by digit, in time growing like p^j for such a
+    # pair, so it is asked only up to p^j = 3^9; the pair is a cluster past
+    # the depth budget, and the report still accounts for all k + 2 roots
+    rng = random.Random(20261019)
+    for _ in range(60):
+        p = rng.choice([3, 5, 7])
+        planted = Fraction(1)
+        while planted.denominator == 1:  # an integer could be one of the pair
+            a, b = rng.sample([n for n in range(1, 12) if n % p], 2)
+            planted = rng.choice([-1, 1]) * Fraction(a, b)
+        k, j = rng.choice([2, 3]), rng.randint(1, 30)
+        c = planted.numerator * pow(planted.denominator, -1, p) % p + p * rng.randint(0, 9)
+        d = rng.choice([n for n in range(1, 4 * p) if n % p and pow(n, (p - 1) // 2, p) == 1])
+        f = _poly([(2, 1), (1, -2 * c), (0, c * c - p ** (2 * j) * d)])
+        for _ in range(k):
+            f = _times(f, _poly([(1, planted.denominator), (0, -planted.numerator)]))
+        report = count_roots(f, p, OPTS)
+        assert [(e.multiplicity, e.certificate) for e in report.entries
+                if e.rational == planted] == [(k, EXACT_RATIONAL)], (f.terms, p)
+        assert report.upper_bound_with_multiplicity == k + 2, (f.terms, p)
+        if p**j <= 3**9:
+            assert report_classes(report, 6) <= oracle_root_classes(f, p, 6)[0], (f.terms, p)
 
 
 # -- rational labels: oracle, metamorphic relations, reconstruction edges -----
