@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionFailed
-from .padic import int_valuation, is_prime
+from .padic import is_prime
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,16 @@ def vp_distinct_product_lcm(t: int, m: int, p: int) -> int:
     """v_p of d_t(m) without enumerating subsets.
 
     The p-exponent of the lcm is the best achievable sum of v_p over at most
-    t pairwise distinct integers <= m: the t largest valuations.  Tests pin
-    this against the subset enumeration.
+    t pairwise distinct integers <= m: the t largest valuations.  Of those,
+    min(t, m // p^k) reach k, so the sum takes O(log_p m) steps and the
+    threshold scan below is linear in its length.  Tests pin this against
+    the subset enumeration.
     """
-    vals = sorted((int_valuation(i, p) for i in range(1, m + 1)), reverse=True)
-    return sum(vals[:t])
+    total, q = 0, p
+    while q <= m:
+        total += min(t, m // q)
+        q *= p
+    return total
 
 
 def lenstra_threshold(p: int, t: int, r: Fraction | int) -> int:

@@ -27,6 +27,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mod, mul
 from typing import NamedTuple
 
 from .bounds import FieldParams, descartes_bound, sparse_upper_bound, sparse_upper_bound_value
@@ -52,6 +54,11 @@ EXACT_RATIONAL = "ExactRational"
 # "precision" is reported (`_on_demand`).  The cap bounds the time it takes.
 MIN_WORKING_PREC = 6
 MAX_WORKING_PREC = 320
+
+# The residue scan (`_unit_zeros`) walks F_p^* this many exponents at a time:
+# long enough that its arithmetic runs in `map`, short enough that its
+# tables stay small whatever p is.
+WALK_BLOCK = 512
 
 
 @dataclass
@@ -159,6 +166,7 @@ def _comb_mod_p(n: int, k: int, p: int) -> int:
     return result
 
 
+@functools.cache
 def _primitive_root(p: int) -> int:
     """Least generator of F_p^*; p-1 is factored by trial division, O(sqrt(p))."""
     primes, n, q = [], p - 1, 2
@@ -470,10 +478,12 @@ def _unit_zeros(support: dict[int, int], p: int) -> list[tuple[int, int]]:
 
     gamma is a primitive root.  On units x^(p-1) = 1, so the exponents are
     folded mod p-1 first.  Dividing by the first folded term c0*x^e0 leaves
-    -c0 = sum of c*x^(e-e0) over the others, and the walk over
-    i = 0..p-2 keeps each of their values c*gamma^(i*(e-e0)) current with
-    one multiplication per step.  When the folded terms all cancel, every
-    unit residue is a zero.
+    -c0 = sum of c*x^(e-e0) over the others.  The walk over i = 0..p-2 takes
+    WALK_BLOCK exponents at a time: each other term's values on a block are
+    its table of step powers s^b, s = gamma^(e-e0), times its value at the
+    block's start, which then advances by the stride s^WALK_BLOCK, so the
+    arithmetic runs in `map` and nothing grows with p.  When the folded terms
+    all cancel, every unit residue is a zero.
     """
     folded: dict[int, int] = {}
     for e, c in support.items():
@@ -481,14 +491,32 @@ def _unit_zeros(support: dict[int, int], p: int) -> list[tuple[int, int]]:
         folded[k] = (folded.get(k, 0) + c) % p
     (e0, c0), *rest = [(e, c) for e, c in folded.items() if c] or [(0, 0)]
     gamma = _primitive_root(p)
+    if not rest:
+        # a lone folded term has no unit zero; no term at all vanishes everywhere
+        return [] if c0 else sorted((pow(gamma, i, p), i) for i in range(p - 1))
     target = -c0 % p
-    values = [c for _, c in rest]
-    steps = [pow(gamma, (e - e0) % (p - 1), p) for e, _ in rest]
+    block = min(WALK_BLOCK, p - 1)
+    tables, strides, starts = [], [], []
+    for e, c in rest:
+        step = pow(gamma, (e - e0) % (p - 1), p)
+        table = [1]
+        for _ in range(block - 1):
+            table.append(table[-1] * step % p)
+        tables.append(table)
+        strides.append(table[-1] * step % p)
+        starts.append(c)
     zero_logs = []
-    for i in range(p - 1):
-        if sum(values) % p == target:
-            zero_logs.append(i)
-        values = [v * s % p for v, s in zip(values, steps)]
+    for base in range(0, p - 1, block):
+        total = map(mul, tables[0], repeat(starts[0]))
+        for table, start in zip(tables[1:], starts[1:]):
+            total = map(add, total, map(mul, table, repeat(start)))
+        residues = list(map(mod, total, repeat(p)))
+        del residues[p - 1 - base:]  # the last block may be short
+        i = -1
+        for _ in range(residues.count(target)):
+            i = residues.index(target, i + 1)
+            zero_logs.append(base + i)
+        starts = [v * s % p for v, s in zip(starts, strides)]
     return sorted((pow(gamma, i, p), i) for i in zero_logs)
 
 

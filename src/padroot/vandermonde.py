@@ -294,19 +294,18 @@ def identity_grid_report(t_max: int, alpha_max: int):
                     "quotient_nonzero": bool(quotient),
                 }
                 rows.append({"powers": powers, "blocks": blocks, "kind": "quotient", **checks})
-            if t >= 1:
-                for blocks in compositions(t):
-                    for k in range(len(blocks)):
-                        ok = check_confluent_merge(powers, blocks, k)
-                        rows.append(
-                            {
-                                "powers": powers,
-                                "blocks": blocks,
-                                "kind": "merge",
-                                "index": k,
-                                "merge": ok,
-                            }
-                        )
+            for blocks in compositions(t):
+                for k in range(len(blocks)):
+                    ok = check_confluent_merge(powers, blocks, k)
+                    rows.append(
+                        {
+                            "powers": powers,
+                            "blocks": blocks,
+                            "kind": "merge",
+                            "index": k,
+                            "merge": ok,
+                        }
+                    )
     flat_checks = [
         v
         for row in rows

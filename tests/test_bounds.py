@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -174,6 +175,25 @@ def test_threshold_matches_plain_scan():
                 scan = max(m for m in range(301)
                            if m * r - vp_distinct_product_lcm(t, m, p) <= rhs)
                 assert lenstra_threshold(p, t, r) == scan < 200, (p, t, r)
+
+
+def test_threshold_matches_sorted_valuation_scan():
+    # v_p(d_t(m)) as the definition reads: sort v_p(1), ..., v_p(m) and add
+    # the t largest; a plain scan of every m <= 300 with it finds each
+    # threshold, and all of them lie far below 300
+    for p in (3, 5, 7, 11):
+        vals, top_sums = [], []
+        for m in range(301):
+            if m:
+                bisect.insort(vals, -_v(m, p))
+            top_sums.append([-sum(vals[:t]) for t in range(13)])
+        for t in range(13):
+            assert all(vp_distinct_product_lcm(t, m, p) == top_sums[m][t] for m in range(301))
+            for e in range(1, 4):
+                r = Fraction(1, e)
+                rhs = max(i * r - _v(math.factorial(i), p) for i in range(t + 1))
+                scan = max(m for m in range(301) if m * r - top_sums[m][t] <= rhs)
+                assert lenstra_threshold(p, t, r) == scan < 150, (p, t, e)
 
 
 def test_threshold_small_prime_recorded():

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -531,6 +533,7 @@ def _check_scan(terms, p):
     assert [r for r, _ in zeros] == sorted(_brute_zeros(terms, p)), (terms, p)
     for r, i in zeros[:3]:
         assert (p - 1) // math.gcd(i, p - 1) == _brute_order(r, p), (terms, p, r)
+    return zeros
 
 
 def test_unit_zeros_match_brute_force():
@@ -555,12 +558,60 @@ def test_unit_zeros_match_brute_force():
         _check_scan(terms, p)
 
 
-@pytest.mark.parametrize("p", [3, 5, 101, 19_997])
+# 7681 - 1 is 15 walk blocks of 512, 19997 - 1 is 39 blocks and 28 more
+@pytest.mark.parametrize("p", [3, 5, 101, 7_681, 19_997])
 def test_unit_zeros_when_folded_terms_all_cancel(p):
     for terms in ([(p - 1, 1), (0, -1)], [(2 * (p - 1), 1), (0, -1)],
                   [(5 * p * (p - 1), 3), (p - 1, -1), (0, -2)]):
         zeros = _unit_zeros(_reduce_mod_p(_poly(terms), p), p)
         assert [r for r, _ in zeros] == list(range(1, p))
+
+
+def test_unit_zeros_across_walk_blocks():
+    # the walk takes WALK_BLOCK exponents at a time: p - 1 below the block,
+    # a multiple of it and not one, with zeros planted at logs k*block - 1
+    # and k*block, on both sides of each block boundary
+    block = rootcount.WALK_BLOCK
+    rng = random.Random(20261020)
+    below = next(q for q in range(block, 2, -1) if is_prime(q))
+    exact = next(q for q in itertools.count(block + 1, block) if is_prime(q))
+    ragged = next(q for q in itertools.count(3 * block + 2) if is_prime(q) and (q - 1) % block)
+    for p in (below, exact, ragged):
+        gamma = rootcount._primitive_root(p)
+        for k in range(1, 5):
+            logs = (k * block - 1) % (p - 1), k * block % (p - 1)
+            r1, r2 = (pow(gamma, i, p) for i in logs)
+            s, q = r1 + r2, r1 * r2
+            e, c = rng.randrange(3, 10**6), rng.randrange(1, p)
+            # (x - r1)(x - r2)(x^e + c)
+            terms = [(e + 2, 1), (e + 1, -s), (e, q), (2, c), (1, -c * s), (0, c * q)]
+            zeros = _check_scan(terms, p)
+            assert (r1, logs[0]) in zeros and (r2, logs[1]) in zeros, (p, k)
+        for _ in range(5):
+            exps = rng.sample(range(10**6 + 1), rng.randint(2, 5))
+            _check_scan([(e, rng.randint(-20, 20) or 1) for e in exps], p)
+
+
+def test_unit_zeros_of_the_quadratic_character():
+    # x^((p-1)/2) - 1 vanishes on the (p-1)/2 squares: a zero in every other step
+    p = 20_011
+    terms = [((p - 1) // 2, 1), (0, -1)]
+    zeros = _check_scan(terms, p)
+    assert [i for _, i in zeros if i % 2] == [] and len(zeros) == (p - 1) // 2
+
+
+def test_unit_zeros_hold_no_table_of_size_p():
+    # at p = 10^6 + 3 a list of p residues alone would take over 8 MB; the
+    # walk's tables stay at WALK_BLOCK entries a term
+    p = 1_000_003
+    support = _reduce_mod_p(_poly([(1000, 1), (0, -7)]), p)
+    tracemalloc.start()
+    try:
+        _unit_zeros(support, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def _brute_digit_zeros(h, p):
