@@ -3,17 +3,17 @@
 A polynomial is a map from exponent tuples (one slot per variable) to nonzero
 integer coefficients.  Everything is exact; there is no floating point
 anywhere.  Determinants go by cofactor expansion (at most five or six
-variables, degrees in the tens); exact division by leading-term reduction
-under graded-lexicographic order, each leading term popped off a heap of
-the remainder's monomials (Monagan and Pearce, JSC 2011).
+variables, degrees in the tens).  The only divisors are products of linear
+factors x_j - x_i and x_j, the factors of every standard Vandermonde
+determinant, so exact division is synthetic division in x_j and an
+exponent shift.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from operator import add, neg, sub
+from operator import add
 
 from .errors import InternalError
 
@@ -66,13 +66,6 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
-
-    def leading(self) -> tuple[Monomial, int]:
-        """Leading (monomial, coefficient) under graded-lex order."""
-        if not self.terms:
-            raise InternalError("zero polynomial has no leading term")
-        mono = max(self.terms, key=_grlex_key)
-        return mono, self.terms[mono]
 
     def coefficients_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.terms.values())
@@ -142,43 +135,45 @@ class MultiPoly:
 
     # -- division -----------------------------------------------------
 
-    def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self/divisor; raises InternalError on any remainder.
+    def divide_exact(self, factors: list[tuple[int, int | None]]) -> "MultiPoly":
+        """Exact quotient by the product of x_j - x_i over the (j, i) pairs,
+        x_j alone where i is None; raises InternalError on any remainder.
 
-        Leading-term reduction under graded lex, the leading monomial popped
-        off a heap on the negated grlex key: a monomial is pushed when it
-        (re)enters the remainder and skipped if popped after cancelling.
-        Every coefficient division must be exact: a failure means the
-        caller's divisibility guarantee is broken, not an input state.
+        With self = sum_k p_k x_j^k, dividing by x_j - x_i takes
+        q_{k-1} = p_k + x_i q_k from the top down, and p_0 + x_i q_0 must
+        vanish.  A failure means the caller's divisibility guarantee is
+        broken, not an input state.
         """
-        self._check_arity(divisor)
-        if not divisor:
-            raise InternalError("division by the zero polynomial")
-        quotient: dict[Monomial, int] = {}
-        rem = dict(self.terms)
-        heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
-        heapify(heap)
-        div_mono, div_coeff = divisor.leading()
-        while rem:
-            mono = heappop(heap)[2]
-            coeff = rem.get(mono)
-            if coeff is None:
+        terms = self.terms
+        for j, i in factors:
+            if i is None:
+                if any(mono[j] == 0 for mono in terms):
+                    raise InternalError("inexact multivariate division (nonzero remainder)")
+                terms = {mono[:j] + (mono[j] - 1,) + mono[j + 1:]: coeff
+                         for mono, coeff in terms.items()}
                 continue
-            q_mono = tuple(map(sub, mono, div_mono))
-            if (q_mono and min(q_mono) < 0) or coeff % div_coeff:
-                raise InternalError("inexact multivariate division (nonzero remainder)")
-            q_coeff = coeff // div_coeff
-            quotient[q_mono] = q_coeff
-            for m, c in divisor.terms.items():
-                tm = tuple(map(add, q_mono, m))
-                new = rem.get(tm, 0) - q_coeff * c
-                if tm not in rem:
-                    heappush(heap, (-sum(tm), tuple(map(neg, tm)), tm))
-                if new:
-                    rem[tm] = new
-                else:
-                    del rem[tm]
-        return MultiPoly(self.nvars, quotient)
+            rows: dict[int, dict[Monomial, int]] = {}
+            for mono, coeff in terms.items():
+                rows.setdefault(mono[j], {})[mono[:j] + (0,) + mono[j + 1:]] = coeff
+            terms = {}
+            carry: dict[Monomial, int] = {}  # x_i q_k, with x_j's slot zeroed
+            for k in range(max(rows, default=0), -1, -1):
+                row = carry  # p_k + x_i q_k: q_{k-1}, or the remainder at k = 0
+                for rest, coeff in rows.get(k, {}).items():
+                    new = row.get(rest, 0) + coeff
+                    if new:
+                        row[rest] = new
+                    else:
+                        del row[rest]
+                if k == 0:
+                    if row:
+                        raise InternalError("inexact multivariate division (nonzero remainder)")
+                    break
+                carry = {}
+                for rest, coeff in row.items():
+                    terms[rest[:j] + (k - 1,) + rest[j + 1:]] = coeff
+                    carry[rest[:i] + (rest[i] + 1,) + rest[i + 1:]] = coeff
+        return MultiPoly(self.nvars, terms)
 
     # -- substitution -------------------------------------------------
 

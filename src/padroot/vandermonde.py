@@ -42,19 +42,6 @@ def _validate_blocks(blocks: tuple[int, ...], total: int):
         )
 
 
-def standard_powers(t: int) -> tuple[int, ...]:
-    """The power vector (1, 2, ..., t) of the standard determinant."""
-    return tuple(range(1, t + 1))
-
-
-def vandermonde_det(powers: tuple[int, ...]) -> MultiPoly:
-    """Determinant of the (t+1)x(t+1) matrix with rows (1, x_i^{a_1}, ..., x_i^{a_t})."""
-    powers = tuple(powers)
-    _validate_powers(powers)
-    t = len(powers)
-    return confluent_vandermonde_det(powers, (1,) * (t + 1))
-
-
 def _derivative_row(nvars: int, var: int, powers: tuple[int, ...], k: int) -> list[MultiPoly]:
     # Row k of a confluent block: k-th derivative divided by k!, i.e. entries
     # C(a_j, k) x^{a_j - k}; the constant-1 first column only survives at k=0.
@@ -68,11 +55,10 @@ def _derivative_row(nvars: int, var: int, powers: tuple[int, ...], k: int) -> li
 
 
 def confluent_vandermonde_matrix(
-    powers: tuple[int, ...], blocks: tuple[int, ...], nvars: int | None = None
+    powers: tuple[int, ...], blocks: tuple[int, ...]
 ) -> list[list[MultiPoly]]:
     """The block matrix whose i-th block holds scaled-derivative rows at x_i."""
-    if nvars is None:
-        nvars = len(blocks)
+    nvars = len(blocks)
     matrix = []
     for var, size in enumerate(blocks):
         for k in range(size):
@@ -94,33 +80,17 @@ def confluent_vandermonde_det(powers, blocks) -> MultiPoly:
     return det(confluent_vandermonde_matrix(powers, blocks))
 
 
-def standard_confluent_det(blocks: tuple[int, ...]) -> MultiPoly:
-    """Closed form of the standard-powers confluent determinant.
-
-    Equals prod_{i<j} (x_j - x_i)^{s_i s_j}; used as the exact divisor when
-    extracting quotients.
-    """
-    blocks = tuple(blocks)
-    m = len(blocks)
-    out = MultiPoly.const(m, 1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = MultiPoly.monomial(m, j) - MultiPoly.monomial(m, i)
-            out = out * diff ** (blocks[i] * blocks[j])
-    return out
-
-
 @lru_cache(maxsize=4096)
 def vandermonde_quotient(powers: tuple[int, ...], blocks: tuple[int, ...]) -> MultiPoly:
     """Quotient of the confluent determinant by its standard-powers counterpart.
 
-    The quotient always has integer coefficients; the division is performed
-    exactly and a nonzero remainder raises InternalError.
+    The standard case equals prod_{i<j} (x_j - x_i)^{s_i s_j}; the quotient
+    has integer coefficients, and a nonzero remainder raises InternalError.
     """
-    powers = tuple(powers)
     blocks = tuple(blocks)
     numerator = confluent_vandermonde_det(powers, blocks)
-    return numerator.divide_exact(standard_confluent_det(blocks))
+    return numerator.divide_exact([(j, i) for j in range(len(blocks)) for i in range(j)
+                                   for _ in range(blocks[i] * blocks[j])])
 
 
 def check_confluent_merge(powers, blocks, k: int) -> bool:
@@ -210,14 +180,8 @@ def binomial_det_quotient(indices: tuple[int, ...]) -> MultiPoly:
     indices = tuple(indices)
     if not indices or indices[0] < 1:
         raise PreconditionFailed(f"indices must start at 1 or above: {indices}")
-    t = len(indices)
-    numerator = binomial_det(indices)
-    divisor = MultiPoly.const(t, 1)
-    for i in range(t):
-        divisor = divisor * MultiPoly.monomial(t, i)
-        for j in range(i + 1, t):
-            divisor = divisor * (MultiPoly.monomial(t, j) - MultiPoly.monomial(t, i))
-    return numerator.divide_exact(divisor)
+    return binomial_det(indices).divide_exact([(j, i) for j in range(len(indices))
+                                               for i in [None, *range(j)]])
 
 
 def check_shift_expansion(powers, blocks, cap: int = DEFAULT_EXPANSION_CAP) -> bool:

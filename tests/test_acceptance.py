@@ -33,7 +33,6 @@ from padroot.vandermonde import (
     binomial_det,
     binomial_det_quotient,
     identity_grid_report,
-    standard_powers,
 )
 
 from oracle import oracle_root_classes, random_sparse_poly, report_classes
@@ -63,7 +62,7 @@ def test_criterion_02_binomial_determinant_grid():
     failures = []
     for t in range(1, 5):
         # the standard-index identity
-        lhs = binomial_det(standard_powers(t))
+        lhs = binomial_det(tuple(range(1, t + 1)))
         rhs = MultiPoly.const(t, 1)
         for i in range(t):
             rhs = rhs * MultiPoly.monomial(t, i)

@@ -56,32 +56,53 @@ def test_ring_axioms_randomized():
         assert (a + b) + d == a + (b + d)
         assert not a - a and not a * b - b * a
         results = [a * b, a + b, a - b, b - b, a * (b + d), -d, a.scale(3), a.scale(0),
-                   a ** 2, (a * b).divide_exact(b), a.shift_all_by_one(),
+                   a ** 2, (a * (x(3, 2) - x(3, 0))).divide_exact([(2, 0)]),
+                   a.shift_all_by_one(),
                    a.substitute(1, b), c(3, 0)]
         assert all(r.nvars == 3 and well_formed(r, 3) for r in results)
         assert well_formed(a.map_vars([0, 0, 1], 2), 2)
+
+
+def linear_product(nvars, factors):
+    # the product of x_j - x_i over the (j, i) pairs, x_j alone where i is None
+    out = c(nvars, 1)
+    for j, i in factors:
+        out = out * (x(nvars, j) if i is None else x(nvars, j) - x(nvars, i))
+    return out
+
+
+def random_factors(rng, nvars, count):
+    factors = []
+    for _ in range(count):
+        j, i = rng.sample(range(nvars), 2)
+        factors.append((j, None if rng.random() < 0.25 else i))
+    return factors
 
 
 def test_divide_exact_roundtrip():
     rng = random.Random(11)
     for _ in range(40):
         a = random_poly(rng, 2)
-        b = random_poly(rng, 2)
-        if not b:
-            continue
-        assert (a * b).divide_exact(b) == a
+        factors = random_factors(rng, 2, rng.randint(1, 4))
+        assert (a * linear_product(2, factors)).divide_exact(factors) == a
+    # every factor of a standard Vandermonde determinant, repeated
+    a = random_poly(rng, 3)
+    factors = [(1, 0), (1, 0), (2, 0), (2, 1), (2, 1), (2, 1), (0, None), (2, None)]
+    assert (a * linear_product(3, factors)).divide_exact(factors) == a
+    assert c(3, 0).divide_exact(factors) == c(3, 0)
 
 
 def test_divide_exact_rejects_remainder():
     p = x(2, 0) ** 2 + c(2, 1)
-    q = x(2, 0) + x(2, 1)
     with pytest.raises(InternalError):
-        p.divide_exact(q)
+        p.divide_exact([(0, 1)])
+    with pytest.raises(InternalError):
+        p.divide_exact([(0, None)])
 
 
 def test_divide_exact_roundtrip_large():
-    # products of a few hundred terms, so the remainder's leading term is
-    # drawn from a large heap at every step
+    # products of 200 terms or more in 2 to 5 variables, with repeated
+    # factors and x_j factors
     rng = random.Random(2011)
 
     def draw(nvars, max_deg, terms):
@@ -92,48 +113,38 @@ def test_divide_exact_roundtrip_large():
 
     for nvars in range(2, 6):
         for _ in range(3):
-            a = draw(nvars, 30 // nvars, 60)
-            b = draw(nvars, 3, 12)
-            product = a * b
+            a = draw(nvars, 30 // nvars, 100)
+            factors = random_factors(rng, nvars, 6)
+            factors += factors[:2]
+            product = a * linear_product(nvars, factors)
             assert len(product.terms) >= 200
-            assert product.divide_exact(b) == a
-
-
-def test_divide_exact_monomial_reenters_remainder():
-    # (x^2 + x + 1)(x^2 - x - 1) = x^4 - x^2 - 2x - 1.  The first step
-    # cancels x^2 out of the remainder and the second brings it back, so the
-    # heap holds a stale entry for x^2 next to the live one.
-    q = x(1, 0) ** 2 + x(1, 0) + c(1, 1)
-    d = x(1, 0) ** 2 - x(1, 0) - c(1, 1)
-    assert (q * d).terms == {(4,): 1, (2,): -1, (1,): -2, (0,): -1}
-    assert (q * d).divide_exact(d) == q
-    # the same trace in two variables, with a lead coefficient of 2
-    q2 = (q.map_vars([0], 2) + x(2, 1)).scale(3)
-    d2 = d.map_vars([0], 2).scale(2)
-    assert (q2 * d2).divide_exact(d2) == q2
+            assert product.divide_exact(factors) == a
+            assert product.divide_exact(factors[::-1]) == a
 
 
 def test_divide_exact_rejects_remainder_below_the_top():
-    # the leading terms divide; the remainder shows up only further down
-    y = x(2, 0)
+    # every row of x_j above the constant one divides; p_0 + x_i q_0 does not
+    y, z = x(2, 0), x(2, 1)
     with pytest.raises(InternalError):
-        (y * (c(2, 2) * y + c(2, 1)) + y).divide_exact(c(2, 2) * y + c(2, 1))
+        ((y - z) ** 3 + z).divide_exact([(0, 1)])
+    # an x_j factor applied to a term that lacks x_j
     with pytest.raises(InternalError):
-        ((y + x(2, 1)) ** 3 + c(2, 1)).divide_exact(y + x(2, 1))
-    # the exponents divide all the way down; a coefficient does not
+        (y ** 2 * z + z).divide_exact([(0, None)])
     with pytest.raises(InternalError):
-        (c(2, 2) * y ** 2 + c(2, 3) * y).divide_exact(c(2, 2) * y)
+        (y * z ** 2 + y).divide_exact([(0, None), (1, None)])
     rng = random.Random(5)
-    for nvars in range(2, 5):
+    for nvars in range(2, 6):
         for _ in range(10):
             a = random_poly(rng, nvars)
-            b = random_poly(rng, nvars) + x(nvars, 0) ** 4
-            r = random_poly(rng, nvars, max_deg=1)
-            if not a or not r or r.total_degree() >= b.total_degree():
+            factors = random_factors(rng, nvars, rng.randint(1, 3))
+            j = factors[0][0]
+            # r lacks x_j, so x_j - x_i and x_j leave it as the remainder
+            r = random_poly(rng, nvars).map_vars(
+                [k if k != j else (j + 1) % nvars for k in range(nvars)], nvars)
+            if not r:
                 continue
-            # b divides neither r nor a*b + r, as deg r < deg b
             with pytest.raises(InternalError):
-                (a * b + r).divide_exact(b)
+                (a * linear_product(nvars, factors) + r).divide_exact(factors[:1])
 
 
 def test_substitute_and_shift():

@@ -46,18 +46,21 @@ active.install()
 from padroot.extremal import build_family
 from padroot.rootcount import count_roots
 from padroot.sparsepoly import parse_poly
+from padroot.vandermonde import binomial_det_quotient, identity_grid_report
 count_roots(parse_poly("5*x^200000 + 3*x^100 - " + str(10007**100)), 10007)
 count_roots(parse_poly("81*x^3 - 279*x^2 + 112*x - 12"), 5)
 build_family(2, 3)
+identity_grid_report(1, 3)
+binomial_det_quotient((1, 3))
 print(json.dumps({"names": tracer.metric_names(), "summary": active.summary()}))
 """
 
 
 def test_traced_run_reports_every_metric():
     # `--trace 1` installs the tracer in a fresh interpreter; do the same on
-    # the valuation-shifted lacunary input, the double rational root 2/9 and
-    # a tower build, so that a change to what a traced function returns
-    # fails here, not in the run
+    # the valuation-shifted lacunary input, the double rational root 2/9, a
+    # tower build and a small identity grid, so that a change to what a
+    # traced function returns fails here, not in the run
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACER)],
                           env=dict(os.environ, PYTHONPATH=str(src)),
@@ -68,10 +71,13 @@ def test_traced_run_reports_every_metric():
                if name != "trace.overhead_s" and name not in summary]
     assert not missing
     assert summary["sparsepoly.scale_substitute.calls"] > 0
-    # the lifts run inside these two entry points, so a refactor that routes
-    # around them would read 0 in `--trace 1` without failing anything else
+    # the lifts and the quotients run inside these entry points, so a
+    # refactor that routes around them would read 0 in `--trace 1` without
+    # failing anything else
     assert summary["padic.hensel_lift.calls"] > 0
     assert summary["padic.teichmuller.calls"] > 0
+    assert summary["multipoly.MultiPoly.divide_exact.calls"] > 0
+    assert summary["vandermonde.binomial_det_quotient.calls"] > 0
     # no benchmark input reaches the derivative search; the double root does
     assert summary["rootcount.rational_roots_with_multiplicity.calls"] > 0
     assert summary["sparsepoly.newton_polygon.calls"] > 0

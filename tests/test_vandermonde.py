@@ -14,9 +14,6 @@ from padroot.vandermonde import (
     confluent_vandermonde_det,
     identity_grid_report,
     specialization_quotient,
-    standard_confluent_det,
-    standard_powers,
-    vandermonde_det,
     vandermonde_quotient,
 )
 
@@ -39,12 +36,12 @@ def product_of_differences(nvars):
 
 def test_standard_powers_product_formula():
     # powers (1, 2): the determinant is the plain Vandermonde product
-    assert vandermonde_det((1, 2)) == product_of_differences(3)
-    assert vandermonde_det((1, 2, 3)) == product_of_differences(4)
+    assert confluent_vandermonde_det((1, 2), (1, 1, 1)) == product_of_differences(3)
+    assert confluent_vandermonde_det((1, 2, 3), (1, 1, 1, 1)) == product_of_differences(4)
 
 
 def test_single_power():
-    assert vandermonde_det((1,)) == x(2, 1) - x(2, 0)
+    assert confluent_vandermonde_det((1,), (1, 1)) == x(2, 1) - x(2, 0)
 
 
 def test_even_powers_factor():
@@ -55,13 +52,12 @@ def test_even_powers_factor():
         * (x(3, 0) + x(3, 2))
         * (x(3, 1) + x(3, 2))
     )
-    assert vandermonde_det((2, 4)) == product_of_differences(3) * extra
+    assert confluent_vandermonde_det((2, 4), (1, 1, 1)) == product_of_differences(3) * extra
 
 
 def test_confluent_standard_case_is_power_product():
     v = confluent_vandermonde_det((1, 2), (2, 1))
     assert v == (x(2, 1) - x(2, 0)) ** 2
-    assert standard_confluent_det((2, 1)) == (x(2, 1) - x(2, 0)) ** 2
 
 
 def test_confluent_single_block_unit():
@@ -83,7 +79,7 @@ def test_confluent_rejects_bad_block_sum():
 def test_quotient_standard_is_one():
     for t in (1, 2, 3):
         for blocks in compositions(t + 1):
-            q = vandermonde_quotient(standard_powers(t), blocks)
+            q = vandermonde_quotient(tuple(range(1, t + 1)), blocks)
             assert q == c(len(blocks), 1)
 
 
@@ -154,7 +150,7 @@ def test_binomial_det_symbolic_matches_scaled_evaluation():
 
 def test_binomial_quotient_standard_is_one():
     for t in (1, 2, 3, 4):
-        assert binomial_det_quotient(standard_powers(t)) == c(t, 1)
+        assert binomial_det_quotient(tuple(range(1, t + 1))) == c(t, 1)
 
 
 def test_binomial_quotient_degrees():
@@ -217,3 +213,22 @@ def test_shift_expansion_rejects_non_integral_weight(monkeypatch):
     monkeypatch.setattr(vandermonde, "binomial_det", lambda beta, eval_at=None: Fraction(1, 2))
     with pytest.raises(InternalError):
         check_shift_expansion((1, 2), (1, 1, 1))
+
+
+def test_quotients_multiply_back_at_benchmark_sizes():
+    # the identity-grid benchmark's sizes, beyond the golden file's: each
+    # quotient of the (3, 7) grid and each t = 4 binomial quotient with
+    # beta in {1..8}, times the standard determinant, gives the numerator
+    for t in (1, 2, 3):
+        for blocks in compositions(t + 1):
+            m = len(blocks)
+            standard = c(m, 1)
+            for j in range(m):
+                for i in range(j):
+                    standard = standard * (x(m, j) - x(m, i)) ** (blocks[i] * blocks[j])
+            for powers in combinations(range(1, 8), t):
+                assert (vandermonde_quotient(powers, blocks) * standard
+                        == confluent_vandermonde_det(powers, blocks))
+    standard = x(4, 0) * x(4, 1) * x(4, 2) * x(4, 3) * product_of_differences(4)
+    for beta in combinations(range(1, 9), 4):
+        assert binomial_det_quotient(beta) * standard == binomial_det(beta)
