@@ -81,35 +81,6 @@ def sharp_trinomial(q: int, cap: int = MAX_EXPONENT_DEFAULT) -> SparsePoly:
     ])
 
 
-def verify_sharp_trinomial(q: int, opts: BuildOptions | None = None) -> RootReport:
-    """Count the sharp trinomial's roots and check the constructive skeleton.
-
-    Asserted: a double root at every torsion point (value and first two
-    derivatives checked through exact certificates), exactly q-1 simple
-    valuation-1 roots, and the Newton-method witness at x = q, namely
-    v(f(q)) = 2(q-1) > 2 v(f'(q)) = 2(q-2).
-    """
-    opts = opts or BuildOptions()
-    f = sharp_trinomial(q, opts.exponent_cap)
-    fq = f.eval_exact(q)
-    dfq = f.derivative().eval_exact(q)
-    if fraction_valuation(fq, q) != 2 * (q - 1) or fraction_valuation(dfq, q) != q - 2:
-        raise InternalError("approximate-root witness at x=q is off")
-
-    report = count_roots(f, q, opts.count_options())
-    torsion = [e for e in report.entries
-               if e.certificate == "ExactTorsion" and e.valuation == 0]
-    if len(torsion) != q - 1 or any(e.multiplicity != 2 for e in torsion):
-        raise InternalError("expected a double root at every torsion point")
-    lifted = [e for e in report.entries
-              if e.valuation == 1 and e.multiplicity == 1]
-    if len(lifted) != q - 1:
-        raise InternalError("expected q-1 simple roots of valuation 1")
-    if report.count_with_multiplicity < sparse_lower_bound(2, q).improved:
-        raise InternalError("trinomial fell short of its target count")
-    return report
-
-
 def binomial_base(q: int) -> SparsePoly:
     """The t = 1 member of the tower: x^(q-1) - 1."""
     return SparsePoly([(0, Fraction(-1)), (q - 1, Fraction(1))])

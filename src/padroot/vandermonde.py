@@ -5,22 +5,23 @@ The objects here are classical: the determinant of the matrix with rows
 confluent variant where a repeated interpolation point contributes rows of
 scaled derivatives, the quotient of either by the corresponding standard
 (powers 1..t) determinant, and determinants of binomial-coefficient
-matrices.  All computations are exact integer arithmetic on `MultiPoly`;
+matrices: symbolic ones in C(x_i, k_j), cleared of factorials, and at
+integer points the integer det[C(a_i, b_j)] that weighs the shift
+expansion.  All computations are exact integer arithmetic on `MultiPoly`;
 the quotients are certified by exact division (any remainder is a bug, not
-an input condition).
+an input condition).  The symbolic determinants and the confluent
+quotients are memoized on their tuple arguments, so a grid builds each one
+once.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import CapExceeded, InternalError, PreconditionFailed
+from .errors import PreconditionFailed
 from .multipoly import MultiPoly, det
-
-DEFAULT_EXPANSION_CAP = 16
 
 
 def _validate_powers(powers: tuple[int, ...]):
@@ -42,42 +43,22 @@ def _validate_blocks(blocks: tuple[int, ...], total: int):
         )
 
 
-def _derivative_row(nvars: int, var: int, powers: tuple[int, ...], k: int) -> list[MultiPoly]:
-    # Row k of a confluent block: k-th derivative divided by k!, i.e. entries
-    # C(a_j, k) x^{a_j - k}; the constant-1 first column only survives at k=0.
-    row = [MultiPoly.const(nvars, 1 if k == 0 else 0)]
-    for a in powers:
-        if k > a:
-            row.append(MultiPoly.zero(nvars))
-        else:
-            row.append(MultiPoly.monomial(nvars, var, a - k, math.comb(a, k)))
-    return row
-
-
-def confluent_vandermonde_matrix(
-    powers: tuple[int, ...], blocks: tuple[int, ...]
-) -> list[list[MultiPoly]]:
-    """The block matrix whose i-th block holds scaled-derivative rows at x_i."""
-    nvars = len(blocks)
-    matrix = []
-    for var, size in enumerate(blocks):
-        for k in range(size):
-            matrix.append(_derivative_row(nvars, var, powers, k))
-    return matrix
-
-
-def confluent_vandermonde_det(powers, blocks) -> MultiPoly:
+@lru_cache(maxsize=4096)
+def confluent_vandermonde_det(powers: tuple[int, ...], blocks: tuple[int, ...]) -> MultiPoly:
     """Confluent Vandermonde determinant for a power vector and block sizes.
 
     With all block sizes 1 this is the plain generalized Vandermonde
     determinant; a block of size s contributes rows for derivative orders
-    0..s-1, each order-k row divided by k!.
+    0..s-1 at its point, each order-k row divided by k!: entries
+    C(a_j, k) x^{a_j - k}, with the constant-1 column surviving only at k=0.
     """
-    powers = tuple(powers)
-    blocks = tuple(blocks)
     _validate_powers(powers)
     _validate_blocks(blocks, len(powers) + 1)
-    return det(confluent_vandermonde_matrix(powers, blocks))
+    nvars = len(blocks)
+    return det([[MultiPoly.const(nvars, int(k == 0))]
+                + [MultiPoly.monomial(nvars, var, a - k, math.comb(a, k)) if k <= a
+                   else MultiPoly.zero(nvars) for a in powers]
+                for var, size in enumerate(blocks) for k in range(size)])
 
 
 @lru_cache(maxsize=4096)
@@ -87,7 +68,6 @@ def vandermonde_quotient(powers: tuple[int, ...], blocks: tuple[int, ...]) -> Mu
     The standard case equals prod_{i<j} (x_j - x_i)^{s_i s_j}; the quotient
     has integer coefficients, and a nonzero remainder raises InternalError.
     """
-    blocks = tuple(blocks)
     numerator = confluent_vandermonde_det(powers, blocks)
     return numerator.divide_exact([(j, i) for j in range(len(blocks)) for i in range(j)
                                    for _ in range(blocks[i] * blocks[j])])
@@ -134,6 +114,7 @@ def specialization_quotient(powers, blocks) -> MultiPoly:
     """
     powers = tuple(powers)
     blocks = tuple(blocks)
+    _validate_blocks(blocks, len(powers) + 1)
     plain = vandermonde_quotient(powers, (1,) * (len(powers) + 1))
     mapping = []
     for var, size in enumerate(blocks):
@@ -141,78 +122,55 @@ def specialization_quotient(powers, blocks) -> MultiPoly:
     return plain.map_vars(mapping, len(blocks))
 
 
-def binomial_det(indices, eval_at=None):
-    """Determinant of the matrix with entries C(x_i, k_j), cleared of factorials.
+@lru_cache(maxsize=1024)
+def binomial_det(indices: tuple[int, ...]) -> MultiPoly:
+    """k_1! ... k_t! times the determinant of the matrix with entries C(x_i, k_j).
 
-    Symbolic mode returns k_1! ... k_t! times the determinant, which has
-    integer coefficients (multiply column j by k_j! to get falling
-    factorials).  Evaluated mode returns the exact unscaled determinant at
-    the given points as a Fraction; it is an integer whenever all points are
-    nonnegative integers.
+    Column j times k_j! holds the falling factorials (x_i)_{k_j}, so the
+    result has integer coefficients.
     """
-    indices = tuple(indices)
+    if not indices:
+        raise PreconditionFailed("empty binomial index vector")
     if any(b < 0 for b in indices):
         raise PreconditionFailed(f"binomial indices must be nonnegative: {indices}")
     if any(b >= c for b, c in zip(indices, indices[1:])):
         raise PreconditionFailed(f"binomial indices must be strictly increasing: {indices}")
     t = len(indices)
-
-    if eval_at is not None:
-        if len(eval_at) != t:
-            raise PreconditionFailed("evaluation point arity mismatch")
-        # Column j holds (a)_{k_j} = k_j! C(a, k_j): ints at integer points,
-        # Fractions at rational ones, so one determinant serves either.
-        matrix = [[math.prod(a - c for c in range(k)) for k in indices] for a in eval_at]
-        return Fraction(det(matrix), math.prod(map(math.factorial, indices)))
-
     rows = [[math.prod((MultiPoly.monomial(t, i) - MultiPoly.const(t, c) for c in range(k)),
                        start=MultiPoly.const(t, 1)) for k in indices] for i in range(t)]
     return det(rows)
 
 
-@lru_cache(maxsize=1024)
 def binomial_det_quotient(indices: tuple[int, ...]) -> MultiPoly:
     """Quotient of the cleared binomial determinant by the standard-index one.
 
     The standard case (indices 1..t) equals x_1...x_t prod_{i<j}(x_j - x_i);
     the quotient has integer coefficients and the division is exact.
     """
-    indices = tuple(indices)
     if not indices or indices[0] < 1:
         raise PreconditionFailed(f"indices must start at 1 or above: {indices}")
     return binomial_det(indices).divide_exact([(j, i) for j in range(len(indices))
                                                for i in [None, *range(j)]])
 
 
-def check_shift_expansion(powers, blocks, cap: int = DEFAULT_EXPANSION_CAP) -> bool:
+def check_shift_expansion(powers, blocks) -> bool:
     """Verify the binomial expansion of the shifted quotient.
 
     The quotient evaluated at (1+x_0, ..., 1+x_m) must equal the sum over
-    strictly increasing index vectors b with b_t <= a_t of the binomial
-    determinant at the powers times the quotient for b.  Index vectors with
-    b_t > a_t contribute a zero column, so the sum is finite; `cap` bounds
-    a_t to keep the enumeration at desk scale.
+    strictly increasing index vectors b with b_t <= a_t of the integer
+    det[C(a_i, b_j)] times the quotient for b.  Index vectors with
+    b_t > a_t give a zero column, so the sum is finite.
     """
     powers = tuple(powers)
     blocks = tuple(blocks)
     _validate_powers(powers)
     _validate_blocks(blocks, len(powers) + 1)
-    t = len(powers)
-    top = powers[-1]
-    if top > cap:
-        raise CapExceeded(f"top power {top} exceeds expansion cap {cap}")
-
     lhs = vandermonde_quotient(powers, blocks).shift_all_by_one()
-    nvars = len(blocks)
-    rhs = MultiPoly.zero(nvars)
-    for beta in combinations(range(1, top + 1), t):
-        weight = binomial_det(beta, eval_at=powers)
-        if weight.denominator != 1:
-            raise InternalError(f"binomial determinant at integers not integral: {beta}")
-        w = int(weight)
-        if w == 0:
-            continue
-        rhs = rhs + vandermonde_quotient(beta, blocks).scale(w)
+    rhs = MultiPoly.zero(len(blocks))
+    for beta in combinations(range(1, powers[-1] + 1), len(powers)):
+        weight = det([[math.comb(a, b) for b in beta] for a in powers])
+        if weight:
+            rhs = rhs + vandermonde_quotient(beta, blocks).scale(weight)
     return lhs == rhs
 
 
@@ -237,7 +195,6 @@ def identity_grid_report(t_max: int, alpha_max: int):
     """
     if not 1 <= t_max <= alpha_max:
         raise PreconditionFailed(f"need 1 <= t <= alpha_max, got t={t_max}, alpha_max={alpha_max}")
-    expansion_cap = max(DEFAULT_EXPANSION_CAP, alpha_max)
     rows = []
     for t in range(1, t_max + 1):
         for powers in combinations(range(1, alpha_max + 1), t):
@@ -254,7 +211,7 @@ def identity_grid_report(t_max: int, alpha_max: int):
                     "degree_quotient": quotient.is_homogeneous()
                     and (not quotient or quotient.total_degree() == deg_p_expect),
                     "specialization": quotient == specialization_quotient(powers, blocks),
-                    "shift_expansion": check_shift_expansion(powers, blocks, expansion_cap),
+                    "shift_expansion": check_shift_expansion(powers, blocks),
                     "quotient_nonzero": bool(quotient),
                 }
                 rows.append({"powers": powers, "blocks": blocks, "kind": "quotient", **checks})

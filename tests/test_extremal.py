@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from padroot.bounds import sparse_lower_bound
 from padroot.errors import CapExceeded, PreconditionFailed
 from padroot.extremal import (
     BuildOptions,
@@ -9,9 +10,9 @@ from padroot.extremal import (
     build_family,
     dilate_normalize,
     sharp_trinomial,
-    verify_sharp_trinomial,
 )
 from padroot.padic import fraction_valuation
+from padroot.rootcount import count_roots
 from padroot.sparsepoly import format_poly, newton_polygon, parse_poly
 
 
@@ -54,11 +55,16 @@ def test_dilate_normalize_integrality():
 
 
 def test_verify_sharp_trinomial_q3():
-    report = verify_sharp_trinomial(3)
-    torsion = [e for e in report.entries if e.certificate == "ExactTorsion"]
-    assert len(torsion) == 2 and all(e.multiplicity == 2 for e in torsion)
-    assert len([e for e in report.entries if e.valuation == 1]) == 2
-    assert report.count_with_multiplicity >= 6
+    # a double root at each torsion point, q - 1 simple roots of valuation 1,
+    # and at least the improved lower bound for t = 2
+    q = 3
+    report = count_roots(sharp_trinomial(q), q)
+    torsion = [e for e in report.entries
+               if e.certificate == "ExactTorsion" and e.valuation == 0]
+    assert len(torsion) == q - 1 and all(e.multiplicity == 2 for e in torsion)
+    lifted = [e for e in report.entries if e.valuation == 1 and e.multiplicity == 1]
+    assert len(lifted) == q - 1
+    assert report.count_with_multiplicity >= sparse_lower_bound(2, q).improved == 6
 
 
 def test_verify_sharp_trinomial_hensel_witness():

@@ -5,8 +5,8 @@
 - `repr` of the rows and of the summary of `identity_grid_report(2, 6)`;
 - the sorted terms of `binomial_det(beta)` and of
   `binomial_det_quotient(beta)` for every beta in {1..7} with |beta| <= 3;
-- the evaluated weights `binomial_det(beta, eval_at=alpha)` for every pair
-  of such index vectors of the same length.
+- the integer weights det[C(alpha_i, beta_j)], as Fractions, for every
+  pair of such index vectors of the same length.
 
 A change that alters any of them must regenerate the file and say why in
 CHANGES.md:
@@ -16,10 +16,13 @@ CHANGES.md:
 
 import hashlib
 import json
+import math
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+from padroot.multipoly import det
 from padroot.vandermonde import binomial_det, binomial_det_quotient, identity_grid_report
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_grid.json"
@@ -42,7 +45,7 @@ def golden_digests() -> dict:
         out[f"binomial_det_quotient {beta}"] = _sha(
             sorted(binomial_det_quotient(beta).terms.items()))
     out["binomial_det evaluated"] = _sha(
-        [binomial_det(beta, eval_at=alpha)
+        [Fraction(det([[math.comb(a, b) for b in beta] for a in alpha]))
          for beta in betas for alpha in betas if len(alpha) == len(beta)])
     return out
 

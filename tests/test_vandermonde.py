@@ -1,10 +1,10 @@
-from fractions import Fraction
+import math
 from itertools import combinations
 
 import pytest
 
-from padroot.errors import CapExceeded, InternalError, PreconditionFailed
-from padroot.multipoly import MultiPoly
+from padroot.errors import PreconditionFailed
+from padroot.multipoly import MultiPoly, det
 from padroot.vandermonde import (
     binomial_det,
     binomial_det_quotient,
@@ -103,6 +103,13 @@ def test_specialization_identity(powers):
         )
 
 
+def test_specialization_rejects_bad_blocks():
+    # blocks must sum to t + 1: (2, 2) sums to 4 and (1, 1) to 2
+    for blocks in ((2, 2), (1, 1)):
+        with pytest.raises(PreconditionFailed):
+            specialization_quotient((1, 2), blocks)
+
+
 def test_merge_identity_examples():
     assert check_confluent_merge((1, 2), (1, 1), 0)
     assert check_confluent_merge((1, 2, 3), (2, 1), 0)
@@ -120,32 +127,30 @@ def test_binomial_det_standard_product():
     assert got == x(2, 0) * x(2, 1) * (x(2, 1) - x(2, 0))
 
 
+def binomial_weight(beta, alpha):
+    # the shift expansion's weight: det[C(a_i, b_j)], an integer
+    return det([[math.comb(a, b) for b in beta] for a in alpha])
+
+
 def test_binomial_det_evaluated():
     # [[C(2,1), C(2,2)], [C(4,1), C(4,2)]] = [[2, 1], [4, 6]]
-    assert binomial_det((1, 2), eval_at=(2, 4)) == 8
-    assert binomial_det((5, 6), eval_at=(2, 4)) == 0
-
-
-def test_binomial_det_evaluated_integrality():
-    for t in (1, 2, 3):
-        for beta in combinations(range(1, 7), t):
-            for alpha in combinations(range(0, 7), t):
-                value = binomial_det(beta, eval_at=alpha)
-                assert value.denominator == 1
+    assert binomial_weight((1, 2), (2, 4)) == 8
+    assert binomial_weight((5, 6), (2, 4)) == 0
 
 
 def test_binomial_det_symbolic_matches_scaled_evaluation():
-    import math
-
     for beta in [(1,), (2,), (1, 3), (2, 3), (1, 2, 4)]:
         t = len(beta)
-        scale = 1
-        for b in beta:
-            scale *= math.factorial(b)
+        scale = math.prod(map(math.factorial, beta))
         sym = binomial_det(beta)
         for point in [(1, 5, 9), (0, 2, 4), (3, 4, 6)]:
             pt = point[:t]
-            assert sym.evaluate(list(pt)) == scale * binomial_det(beta, eval_at=pt)
+            assert sym.evaluate(list(pt)) == scale * binomial_weight(beta, pt)
+
+
+def test_binomial_det_rejects_empty_indices():
+    with pytest.raises(PreconditionFailed):
+        binomial_det(())
 
 
 def test_binomial_quotient_standard_is_one():
@@ -167,11 +172,6 @@ def test_shift_expansion_examples():
     assert check_shift_expansion((1, 2), (2, 1))
     assert check_shift_expansion((2, 4), (1, 1, 1))
     assert check_shift_expansion((1, 4), (2, 1))
-
-
-def test_shift_expansion_cap():
-    with pytest.raises(CapExceeded):
-        check_shift_expansion((1, 30), (1, 1, 1), cap=10)
 
 
 def test_degree_formulas_small_grid():
@@ -201,20 +201,6 @@ def test_identity_grid_report_smoke():
     assert summary["all_quotients_nonzero"]
 
 
-def test_binomial_det_evaluated_rational_points():
-    value = binomial_det((1, 2), eval_at=(Fraction(1, 2), Fraction(3, 2)))
-    # C(x,1)=x, C(x,2)=x(x-1)/2 -> det [[1/2, -1/8], [3/2, 3/8]]
-    assert value == Fraction(1, 2) * Fraction(3, 8) - Fraction(-1, 8) * Fraction(3, 2)
-
-
-def test_shift_expansion_rejects_non_integral_weight(monkeypatch):
-    import padroot.vandermonde as vandermonde
-
-    monkeypatch.setattr(vandermonde, "binomial_det", lambda beta, eval_at=None: Fraction(1, 2))
-    with pytest.raises(InternalError):
-        check_shift_expansion((1, 2), (1, 1, 1))
-
-
 def test_quotients_multiply_back_at_benchmark_sizes():
     # the identity-grid benchmark's sizes, beyond the golden file's: each
     # quotient of the (3, 7) grid and each t = 4 binomial quotient with
@@ -232,3 +218,20 @@ def test_quotients_multiply_back_at_benchmark_sizes():
     standard = x(4, 0) * x(4, 1) * x(4, 2) * x(4, 3) * product_of_differences(4)
     for beta in combinations(range(1, 9), 4):
         assert binomial_det_quotient(beta) * standard == binomial_det(beta)
+
+
+def test_each_determinant_built_once():
+    # the degree check and both determinants of each merge row reuse the
+    # quotient's numerator: one confluent determinant per quotient row
+    vandermonde_quotient.cache_clear()
+    confluent_vandermonde_det.cache_clear()
+    rows, _ = identity_grid_report(2, 5)
+    quotient_rows = [row for row in rows if row["kind"] == "quotient"]
+    assert len(quotient_rows) == 50
+    assert confluent_vandermonde_det.cache_info().misses == 50
+    # the quotient divides the determinant already built
+    binomial_det.cache_clear()
+    beta = (1, 3, 4)
+    binomial_det(beta)
+    binomial_det_quotient(beta)
+    assert binomial_det.cache_info().misses == 1
