@@ -17,7 +17,6 @@ import math
 import os
 import random
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -199,6 +198,7 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None,
         if processes == 1:
             results = list(map(_run_shard, args))
         else:
+            from concurrent.futures import ProcessPoolExecutor  # slow to import, used only here
             with ProcessPoolExecutor(max_workers=processes) as pool:
                 results = list(pool.map(_run_shard, args))
         for shard, rows in zip(pending, results):

@@ -4,21 +4,22 @@ The counter walks the Newton polygon segment by segment, and counts every
 segment of integral slope the same way, by residue refinement: reduce the
 rescaled polynomial mod p, Hensel-lift simple residue roots, and recurse
 into residue classes holding multiple ones.  Before recursing, the class is
-cleared of exactly-known roots -- torsion points, certified by cyclotomic
-divisibility of the exponent-folded polynomial, and rational points,
-certified by exact evaluation -- whose multiplicities are therefore exact;
-the recursion continues on the deflated local polynomial so roots sharing
-the class are still found; a multiple root left undeflated ends in a
-cluster, so only a class whose refinement leaves one is searched for
-multiple rationals.  A segment joining adjacent support points needs
-no path of its own: its reduction is a binomial, so the refinement finds
-the gcd(p-1, width) solutions of one power congruence, or none, all simple
-when p does not divide the width.  Rational points are never searched for
-by factoring: a rational root's digits are the digits of a p-adic root the
-counter certifies anyway, and p-adic rational reconstruction turns enough
-of them back into the fraction.  Whatever survives the depth budget is
-reported as an unresolved cluster with an algebraic-closure disk bound,
-never as a guessed count.
+cleared of exactly-known roots -- torsion points of order d, certified by
+dividing the exponent-folded polynomial by Phi_d as a product of binomials
+x^e - 1, the primes of d read from the one factorisation of p-1, and
+rational points, certified by exact evaluation -- whose multiplicities are
+therefore exact; the recursion continues on the deflated local polynomial
+so roots sharing the class are still found; a multiple root left
+undeflated ends in a cluster, so only a class whose refinement leaves one
+is searched for multiple rationals.  A segment joining adjacent support
+points needs no path of its own: its reduction is a binomial, so the
+refinement finds the gcd(p-1, width) solutions of one power congruence, or
+none, all simple when p does not divide the width.  Rational points are
+never searched for by factoring: a rational root's digits are the digits
+of a p-adic root the counter certifies anyway, and p-adic rational
+reconstruction turns enough of them back into the fraction.  Whatever
+survives the depth budget is reported as an unresolved cluster with an
+algebraic-closure disk bound, never as a guessed count.
 """
 
 from __future__ import annotations
@@ -167,8 +168,10 @@ def _comb_mod_p(n: int, k: int, p: int) -> int:
 
 
 @functools.cache
-def _primitive_root(p: int) -> int:
-    """Least generator of F_p^*; p-1 is factored by trial division, O(sqrt(p))."""
+def _unit_group(p: int) -> tuple[int, tuple[int, ...]]:
+    """The least generator of F_p^* and the primes of p-1: the one
+    factorisation of p-1, by trial division, O(sqrt(p)), which also gives
+    the torsion test the primes of each order d | p-1."""
     primes, n, q = [], p - 1, 2
     while q * q <= n:
         if n % q == 0:
@@ -181,7 +184,7 @@ def _primitive_root(p: int) -> int:
     gamma = 2
     while any(pow(gamma, (p - 1) // q, p) == 1 for q in primes):
         gamma += 1
-    return gamma
+    return gamma, tuple(primes)
 
 
 # ---------------------------------------------------------------------------
@@ -296,41 +299,36 @@ def rational_roots_with_multiplicity(g: ModImage, r: int, order: int,
     return sorted(found.items()), complete
 
 
-def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of dense integer polynomials, den monic."""
-    num, n = list(num), len(den) - 1
-    quot = [0] * max(len(num) - n, 0)
-    for i in reversed(range(len(quot))):
-        q = quot[i] = num[i + n]
-        if q:
-            for j, c in enumerate(den):
-                num[i + j] -= q * c
-    return quot, num[:n]
-
-
-@functools.cache
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """Dense integer coefficients of the d-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            poly, rem = _divmod_monic(poly, _cyclotomic(e))
-            if any(rem):
-                raise InternalError("nonzero remainder in a cyclotomic division")
-    return tuple(poly)  # cached: shared by every caller
-
-
-def _divisible_by_cyclotomic(g: SparsePoly, d: int) -> bool:
+def _divisible_by_cyclotomic(g: SparsePoly, d: int, primes) -> bool:
     """Does the d-th cyclotomic polynomial divide the integer polynomial g?
 
-    A primitive d-th root of unity z has z^d = 1, so g(z) is the value at z
-    of g with its exponents folded mod d: a dense integer polynomial of
-    degree < d, whose remainder by Phi_d is zero exactly when g(z) is.
+    A primitive d-th root of unity z has z^d = 1, so g(z) = G(z), G being g
+    with its exponents folded mod d.  Phi_d is the product of
+    (x^(d/k) - 1)^mu(k) over the squarefree k | d, whose primes are those
+    of `primes` dividing d, so it divides G exactly when the binomials with
+    mu(k) = +1 divide G times those with mu(k) = -1: 2^omega(d) linear
+    passes, with no Phi_d built (Arnold and Monagan, Math. Comp. 2011).
     """
     folded = [0] * d
     for e, c in g.terms:
         folded[e % d] += c.numerator
-    return not any(_divmod_monic(folded, _cyclotomic(d))[1])
+    squarefree = [(1, 1)]  # (k, mu(k))
+    for q in primes:
+        if d % q == 0:
+            squarefree += [(k * q, -mu) for k, mu in squarefree]
+    for k, mu in squarefree:
+        if mu < 0:
+            m = d // k  # times x^m - 1
+            folded = [a - b for a, b in zip([0] * m + folded, folded + [0] * m)]
+    for k, mu in squarefree:
+        if mu > 0:
+            m = d // k  # by x^m - 1: x^m = 1 carries each coefficient m places down
+            for j in reversed(range(m, len(folded))):
+                folded[j - m] += folded[j]
+            if any(folded[:m]):  # the remainder
+                return False
+            folded = folded[m:]
+    return True
 
 
 def torsion_multiplicity(g: ModImage, d: int) -> int:
@@ -343,9 +341,10 @@ def torsion_multiplicity(g: ModImage, d: int) -> int:
     is 0, and is tested for divisibility only when that value is 0.
     """
     p = g.p
-    zeta = teichmuller(p, pow(_primitive_root(p), (p - 1) // d, p))
+    gamma, primes = _unit_group(p)
+    zeta = teichmuller(p, pow(gamma, (p - 1) // d, p))
     return _chain_multiplicity(g, lambda h: h.eval_mod(zeta.unit, p, zeta.prec) == 0
-                               and _divisible_by_cyclotomic(h.exact(), d))
+                               and _divisible_by_cyclotomic(h.exact(), d, primes))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +489,7 @@ def _unit_zeros(support: dict[int, int], p: int) -> list[tuple[int, int]]:
         k = e % (p - 1)
         folded[k] = (folded.get(k, 0) + c) % p
     (e0, c0), *rest = [(e, c) for e, c in folded.items() if c] or [(0, 0)]
-    gamma = _primitive_root(p)
+    gamma, _ = _unit_group(p)
     if not rest:
         # a lone folded term has no unit zero; no term at all vanishes everywhere
         return [] if c0 else sorted((pow(gamma, i, p), i) for i in range(p - 1))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import random
 import time
@@ -7,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from padroot import explore
 from padroot.errors import PreconditionFailed
 from padroot.explore import SweepSpec, generate_candidates, run_sweep
 from padroot.sparsepoly import SparsePoly, format_poly
@@ -71,7 +71,7 @@ class _InProcessPool:
 
 def test_pool_size_is_capped_by_the_cpu_count(tmp_path, monkeypatch):
     # 64 shards on 3 CPUs: the pool holds 3 processes, the output is unchanged
-    monkeypatch.setattr(explore, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     base = dict(p=3, t=2, exponent_bound=12, candidates=30, seed=3, prec=20, depth=5)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -257,6 +258,101 @@ def test_torsion_multiplicity_agrees_with_teichmuller_evaluation():
             assert (torsion_multiplicity(image, d) > 0) == vanishes, (f.terms, p, d)
             seen.add(vanishes)
     assert seen == {True, False}
+
+
+def _divmod_monic(num, den):
+    """Quotient and remainder of dense integer polynomials, den monic."""
+    num, n = list(num), len(den) - 1
+    quot = [0] * max(len(num) - n, 0)
+    for i in reversed(range(len(quot))):
+        q = quot[i] = num[i + n]
+        if q:
+            for j, c in enumerate(den):
+                num[i + j] -= q * c
+    return quot, num[:n]
+
+
+@functools.cache
+def _dense_cyclotomic(d):
+    """Dense Phi_d by Phi_nq(x) = Phi_n(x^q), divided by Phi_n(x) unless q | n,
+    q the largest prime of d: dividing x^d - 1 by every Phi_e, e a proper
+    divisor, is quadratic in d and too slow at d = 30030."""
+    if d == 1:
+        return (-1, 1)
+    q = next(q for q in range(d, 1, -1) if d % q == 0 and is_prime(q))
+    base = _dense_cyclotomic(d // q)
+    poly = [0] * ((len(base) - 1) * q + 1)
+    poly[::q] = base
+    if (d // q) % q:
+        poly, rem = _divmod_monic(poly, base)
+        assert not any(rem)
+    return tuple(poly)
+
+
+def _dense_divisible(g, d):
+    folded = [0] * d
+    for e, c in g.terms:
+        folded[e % d] += c.numerator
+    return not any(_divmod_monic(folded, _dense_cyclotomic(d))[1])
+
+
+def _shifted(dense, d, rng):
+    """The polynomial with these coefficients, each exponent moved up by a
+    random multiple of d, which folding mod d undoes."""
+    data = {}
+    for k, c in enumerate(dense):
+        e = k + d * rng.randrange(4)
+        data[e] = data.get(e, 0) + c
+    return SparsePoly.from_dict({e: Fraction(c) for e, c in data.items() if c})
+
+
+def test_cyclotomic_divisibility_matches_dense_division():
+    # random, forced-divisible and nearly divisible inputs at every order up
+    # to 199 and at orders with three to six distinct primes; at 30030 the
+    # random exponents stay low, as the dense division is quadratic.  At
+    # d = 1 the fold is one coefficient, shorter than x - 1, and at 30030 a
+    # fold of degree below phi(d) is its own remainder
+    primes = [q for q in range(2, 200) if is_prime(q)]
+    rng = random.Random(26)
+    fixed = {1: ["2*x", "3", "x - 1", "x^5 - x^2", "x^3 + x - 2"],
+             30030: ["x^30031 + 5", "x^60060 - 1"]}
+    results = []
+    for d in [*range(1, 200), 210, 1001, 2310, 30030]:
+        phi = len(_dense_cyclotomic(d)) - 1
+        width = d if d <= 2310 else phi + 16
+        cases = [parse_poly(text) for text in fixed.get(d, [])]
+        for _ in range(4):
+            cases.append(SparsePoly.from_dict({
+                rng.randrange(width) + d * rng.randrange(4): Fraction(rng.randint(-9, 9) or 1)
+                for _ in range(rng.randint(1, 5))}))
+        for _ in range(2):
+            cofactor = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))]
+            cofactor[-1] = cofactor[-1] or 1
+            product = [0] * (phi + len(cofactor))
+            for i, a in enumerate(_dense_cyclotomic(d)):
+                for j, b in enumerate(cofactor):
+                    product[i + j] += a * b
+            cases.append(_shifted(product, d, rng))
+            product[rng.randrange(len(product))] += rng.choice([-1, 1])
+            cases.append(_shifted(product, d, rng))
+        for g in cases:
+            expected = _dense_divisible(g, d)
+            assert rootcount._divisible_by_cyclotomic(g, d, primes) == expected, (g.terms, d)
+            results.append(expected)
+    assert results.count(True) > 400 and results.count(False) > 400
+
+
+def test_torsion_multiplicity_at_large_orders():
+    # p = 100043 = 2 * 50021 + 1: the roots of x^50021 + 1 have orders 2 and
+    # 100042, so its square has double roots there and none of order 50021
+    g = ModImage.scaled(parse_poly("x^100042 + 2*x^50021 + 1"), 100043, 0)
+    start = time.perf_counter()
+    assert [torsion_multiplicity(g, d) for d in (100042, 2, 50021)] == [2, 2, 0]
+    assert time.perf_counter() - start < 1.0
+    # p = 2039 = 2 * 1019 + 1: 1019 double roots in all, every one exact
+    report = count_roots(parse_poly("x^2038 + 2*x^1019 + 1"), 2039, OPTS)
+    assert report.fully_certified
+    assert report.count_with_multiplicity == 2038
 
 
 # -- full counting ----------------------------------------------------------
@@ -577,7 +673,7 @@ def test_unit_zeros_across_walk_blocks():
     exact = next(q for q in itertools.count(block + 1, block) if is_prime(q))
     ragged = next(q for q in itertools.count(3 * block + 2) if is_prime(q) and (q - 1) % block)
     for p in (below, exact, ragged):
-        gamma = rootcount._primitive_root(p)
+        gamma, _ = rootcount._unit_group(p)
         for k in range(1, 5):
             logs = (k * block - 1) % (p - 1), k * block % (p - 1)
             r1, r2 = (pow(gamma, i, p) for i in logs)

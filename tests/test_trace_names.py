@@ -76,6 +76,7 @@ def test_traced_run_reports_every_metric():
     # failing anything else
     assert summary["padic.hensel_lift.calls"] > 0
     assert summary["padic.teichmuller.calls"] > 0
+    assert summary["rootcount.torsion_multiplicity.calls"] > 0
     assert summary["multipoly.MultiPoly.divide_exact.calls"] > 0
     assert summary["vandermonde.binomial_det_quotient.calls"] > 0
     # no benchmark input reaches the derivative search; the double root does
