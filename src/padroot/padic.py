@@ -177,10 +177,10 @@ def newton_lift(pairs, p: int, r: int, v: int, known: int, target: int) -> int:
 
 
 def teichmuller(p: int, residue: int, prec: int = DEFAULT_PRECISION) -> PadicNum:
-    """The unique (p-1)-th root of unity congruent to `residue` mod p.
-
-    The Newton lift of x^(p-1) - 1 from the residue: its roots are simple,
-    as p does not divide p - 1.
+    """The unique (p-1)-th root of unity congruent to `residue` mod p: the
+    Newton lift of x^(p-1) - 1, whose roots are simple as p does not divide
+    p - 1.  The counter lifts only a generator, once per prime and precision;
+    every other Teichmuller point it uses is a power of that lift.
     """
     if not 1 <= residue <= p - 1:
         raise PreconditionFailed(f"residue {residue} not in [1, p-1]")

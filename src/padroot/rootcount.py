@@ -11,15 +11,16 @@ rational points, certified by exact evaluation -- whose multiplicities are
 therefore exact; the recursion continues on the deflated local polynomial
 so roots sharing the class are still found; a multiple root left
 undeflated ends in a cluster, so only a class whose refinement leaves one
-is searched for multiple rationals.  A segment joining adjacent support
-points needs no path of its own: its reduction is a binomial, so the
-refinement finds the gcd(p-1, width) solutions of one power congruence, or
-none, all simple when p does not divide the width.  Rational points are
-never searched for by factoring: a rational root's digits are the digits
-of a p-adic root the counter certifies anyway, and p-adic rational
-reconstruction turns enough of them back into the fraction.  Whatever
-survives the depth budget is reported as an unresolved cluster with an
-algebraic-closure disk bound, never as a guessed count.
+is searched for multiple rationals.  Every torsion point is a power of
+Omega, the Teichmuller point of the generator, lifted once per prime; an
+order d is tested only when the residue scan found all phi(d) residues of
+that order, and a simple torsion root starts its Hensel lift at its own
+digits.  Rational points are never searched for by factoring: a rational
+root's digits are the digits of a p-adic root the counter certifies
+anyway, and p-adic rational reconstruction turns enough of them back into
+the fraction.  Whatever survives the depth budget is reported as an
+unresolved cluster with an algebraic-closure disk bound, never as a
+guessed count.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import NamedTuple
 from .bounds import FieldParams, descartes_bound, sparse_upper_bound, sparse_upper_bound_value
 from .errors import InternalError, PrecisionExhausted, PreconditionFailed
 from .padic import (
+    DEFAULT_PRECISION,
     ApproxRootCertificate,
     PadicNum,
     eval_with_derivative,
@@ -84,8 +86,7 @@ class RootEntry:
     hensel: ApproxRootCertificate | None = None
 
     def sort_key(self):
-        digits = self.value.unit_mod(min(self.value.prec, 12))
-        return (self.valuation, digits)
+        return (self.valuation, self.value.unit_mod(min(self.value.prec, 12)))
 
     def describe(self) -> str:
         if self.rational is not None:
@@ -110,10 +111,8 @@ class UnresolvedCluster:
     reason: str
 
     def describe(self) -> str:
-        return (
-            f"class p^{self.valuation}*({self.center} + p^{self.level}*Z_p): "
-            f"<= {self.upper_bound} roots ({self.reason})"
-        )
+        return (f"class p^{self.valuation}*({self.center} + p^{self.level}*Z_p): "
+                f"<= {self.upper_bound} roots ({self.reason})")
 
 
 @dataclass
@@ -185,6 +184,20 @@ def _unit_group(p: int) -> tuple[int, tuple[int, ...]]:
     while any(pow(gamma, (p - 1) // q, p) == 1 for q in primes):
         gamma += 1
     return gamma, tuple(primes)
+
+
+@functools.cache
+def _omega(p: int, prec: int) -> int:
+    """Omega, the Teichmuller point of the generator gamma, mod p^prec: Omega^i
+    is that of gamma^i, and Omega^((p-1)/d) a primitive d-th root of unity."""
+    return teichmuller(p, _unit_group(p)[0], prec).unit
+
+
+@functools.cache
+def _phi(p: int, d: int) -> int:
+    """Euler's phi of an order d | p-1, from the primes of p-1."""
+    qs = [q for q in _unit_group(p)[1] if d % q == 0]
+    return d // math.prod(qs) * math.prod(q - 1 for q in qs)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +350,13 @@ def torsion_multiplicity(g: ModImage, d: int) -> int:
     A torsion point of exact order d is a root of g over Q_p iff its minimal
     polynomial, the d-th cyclotomic polynomial, divides g over Q; the
     multiplicity is read off the derivative chain.  Each derivative is first
-    evaluated at one order-d Teichmuller point mod p^N, where a root's value
-    is 0, and is tested for divisibility only when that value is 0.
+    evaluated at the order-d Teichmuller point Omega^((p-1)/d) mod p^N, where
+    a root's value is 0, and is tested for divisibility only where it is 0.
     """
-    p = g.p
-    gamma, primes = _unit_group(p)
-    zeta = teichmuller(p, pow(gamma, (p - 1) // d, p))
-    return _chain_multiplicity(g, lambda h: h.eval_mod(zeta.unit, p, zeta.prec) == 0
-                               and _divisible_by_cyclotomic(h.exact(), d, primes))
+    p, n = g.p, DEFAULT_PRECISION
+    zeta = pow(_omega(p, n), (p - 1) // d, p**n)
+    return _chain_multiplicity(g, lambda h: h.eval_mod(zeta, p, n) == 0
+                               and _divisible_by_cyclotomic(h.exact(), d, _unit_group(p)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +391,10 @@ def _deflate(h: list[int], ystar: int, mult: int, p: int, m_exp: int) -> list[in
 
 
 def _point_mod(point, p: int, k: int) -> int:
-    """An exact unit point -- a Teichmuller PadicNum or a Fraction -- mod p^k."""
+    """An exact unit point -- a Teichmuller PadicNum or a Fraction -- mod p^k;
+    w^p = w, so x = w mod p^j gives x^(p^s) = w mod p^(j+s), with no new lift."""
     if isinstance(point, PadicNum):
-        if point.prec < k:
-            point = teichmuller(p, point.unit_mod(1), k)
-        return point.residue(k)
+        return pow(point.unit, p ** max(k - point.prec, 0), p**k)
     return point.numerator * pow(point.denominator, -1, p**k) % p**k
 
 
@@ -413,14 +424,8 @@ def _hensel_entry(g: ModImage, start: int, known: int, prec: int,
     p, m = g.p, g.m
     lift_to = max(prec, heights.digits) if heights else prec
     root, cert = hensel_lift(g, PadicNum(p, 0, start, known), prec=lift_to)
-    entry = RootEntry(
-        value=PadicNum(p, m, root.unit_mod(prec), prec),
-        valuation=m,
-        multiplicity=1,
-        certificate=HENSEL_SIMPLE,
-        val_fprime=g.nu - m + cert.val_fprime_r0,
-        hensel=cert,
-    )
+    entry = RootEntry(PadicNum(p, m, root.unit_mod(prec), prec), m, 1, HENSEL_SIMPLE,
+                      val_fprime=g.nu - m + cert.val_fprime_r0, hensel=cert)
     if heights:
         unit = _rational_label(g, heights, root.unit_mod(lift_to), lift_to)
         if unit is not None:
@@ -565,28 +570,33 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
     if not zeros:
         return [], []  # no root has valuation m: skip the set-up below
     heights = _heights(f0, p, m)
-    n = opts.prec
-    entries: list[RootEntry] = []
-    clusters: list[UnresolvedCluster] = []
-    # the torsion multiplicity depends only on the order d, shared by
-    # every residue of that order
-    tor_mults: dict[int, int] = {}
-
-    for r, i in zeros:
+    n, big = opts.prec, opts.prec + 8
+    entries, clusters = [], []
+    orders = [(p - 1) // math.gcd(i, p - 1) for _, i in zeros]  # of each r = gamma^i
+    found = dict.fromkeys(orders, 0)
+    for d in orders:
+        found[d] += 1
+    # Phi_d | g puts all phi(d) residues of order d among the zeros of g mod p
+    # (p = 1 mod d): if fewer are found, none is a root
+    full = {d for d, k in found.items() if k == _phi(p, d)}
+    tested = {}  # per (order, simple?): whether g = 0 mod p^big there, or the multiplicity
+    power, last = 1, 0  # Omega^last mod p^big, the logs i taken in ascending order
+    for (r, i), d in sorted(zip(zeros, orders), key=lambda z: z[0][1]):
         ord0 = _residue_order(support, p, r)
+        key = (d, ord0 == 1)
+        if d in full and key not in tested:
+            tested[key] = torsion_multiplicity(g, d) if ord0 > 1 else d > 1 and g.eval_mod(
+                pow(_omega(p, big), (p - 1) // d, p**big), p, big) == 0
+        torsion = tested.get(key)
+        if torsion:  # Omega^i, one small power away from the last one
+            last, power = i, power * pow(_omega(p, big), i - last, p**big) % p**big
         if ord0 == 1:
-            entries.append(_hensel_entry(g, r, n + 8, n, heights))
+            # any lift of a simple zero is a valid Hensel start, as v(g') = 0 there;
+            # a torsion root started at Omega^i (r itself at d = 1) takes no step
+            entries.append(_hensel_entry(g, power if torsion else r, big, n, heights))
             continue
-
-        # the torsion point of this residue class, as (point, multiplicity,
-        # order); `_refine_rest` looks for the rational ones
-        exact_points = []
-        d = (p - 1) // math.gcd(i, p - 1)  # the order of r = gamma^i
-        if d not in tor_mults:
-            tor_mults[d] = torsion_multiplicity(g, d)
-        if tor_mults[d] > 0:
-            exact_points.append((teichmuller(p, r, n), tor_mults[d], d))
-
+        # its torsion point as (point, multiplicity, order); `_refine_rest` finds rationals
+        exact_points = [(PadicNum(p, 0, power % p**n, n), torsion, d)] if torsion else []
         sub_entries, sub_clusters = _refine_rest(g, r, ord0, exact_points, heights, opts)
         entries += sub_entries
         clusters += sub_clusters
@@ -693,8 +703,7 @@ def _local_count(h, m_exp, center, level, g: ModImage, heights, opts, inherited_
     sparse g before being reported, and labelled when rational by `heights`.
     """
     p, m = g.p, g.m
-    entries: list[RootEntry] = []
-    clusters: list[UnresolvedCluster] = []
+    entries, clusters = [], []
     normalized, new_m = _dense_normalize(h, p, m_exp)
     if normalized is None or new_m < MIN_WORKING_PREC:
         return entries, [UnresolvedCluster(m, center, level, inherited_bound,
@@ -737,21 +746,12 @@ def verify_upper_bounds(report: RootReport, t: int, p: int) -> list[BoundCheck]:
     """
     observed = report.count_with_multiplicity
     bound = sparse_upper_bound(t, FieldParams(p))
-    main = BoundCheck(
-        name="sparse-upper-bound",
-        value=sparse_upper_bound_value(t, p),
-        applicable=bound is not None,
-        satisfied=observed <= bound if bound is not None else None,
-        observed=observed,
-    )
-    rational_mult = sum(
-        e.multiplicity for e in report.entries if e.rational is not None
-    )
-    descartes = BoundCheck(
-        name="descartes-rational-diagnostic",
-        value=descartes_bound(t),
-        applicable=True,
-        satisfied=rational_mult <= descartes_bound(t),
-        observed=rational_mult,
-    )
-    return [main, descartes]
+    rational_mult = sum(e.multiplicity for e in report.entries if e.rational is not None)
+    return [
+        BoundCheck(name="sparse-upper-bound", value=sparse_upper_bound_value(t, p),
+                   applicable=bound is not None, observed=observed,
+                   satisfied=observed <= bound if bound is not None else None),
+        BoundCheck(name="descartes-rational-diagnostic", value=descartes_bound(t),
+                   applicable=True, observed=rational_mult,
+                   satisfied=rational_mult <= descartes_bound(t)),
+    ]

@@ -123,6 +123,39 @@ def test_torsion_multiplicity_once_per_order(monkeypatch):
     assert (report.count_distinct, report.count_with_multiplicity) == (100, 200)
     assert report.fully_certified
     assert sorted(calls) == [1, 2, 4, 5, 10, 20, 25, 50, 100]
+    # (x^2 - 2)^2 at p = 7: the double zeros 3 and 4 mod 7 have orders 6 and
+    # 3, each the only zero among the phi(d) = 2 residues of its order, so
+    # Phi_d divides g at neither and neither order is tested
+    calls.clear()
+    report = count_roots(parse_poly("x^4 - 4*x^2 + 4"), 7, OPTS)
+    assert len(report.unresolved) == 2 and not report.entries
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, p, totals, certificate", [
+    ("x^2016 - 1", 1009, (1008, 1008), HENSEL_SIMPLE),
+    ("x^200 - 2*x^100 + 1", 101, (100, 200), EXACT_TORSION),
+])
+def test_torsion_roots_are_powers_of_one_lift(monkeypatch, text, p, totals, certificate):
+    # every torsion root's digits are a power of the one Teichmuller lift of
+    # the generator; a simple one starts its Hensel lift there, 48 digits
+    # deep, so its witness reads v(f(r0)) = 48 and it takes no Newton step
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return teichmuller(*args)
+
+    rootcount._omega.cache_clear()
+    monkeypatch.setattr(rootcount, "teichmuller", counted)
+    report = count_roots(parse_poly(text), p, OPTS)
+    assert (report.count_distinct, report.count_with_multiplicity) == totals
+    for e in report.entries:
+        assert e.certificate == certificate
+        assert e.value.unit == teichmuller(p, e.value.unit_mod(1), 40).unit
+        if certificate == HENSEL_SIMPLE:
+            assert (e.hensel.r0.prec, e.hensel.val_f_r0) == (48, 48)
+    assert len(calls) <= 2
 
 
 TOWER_2_7 = "x^705900 + 1/117648*x^6 + 157774040966226142650024287/117648"
@@ -306,6 +339,18 @@ def _shifted(dense, d, rng):
     return SparsePoly.from_dict({e: Fraction(c) for e, c in data.items() if c})
 
 
+def _cyclotomic_multiple(d, rng):
+    """Dense coefficients of Phi_d times a random integer cofactor."""
+    cofactor = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))]
+    cofactor[-1] = cofactor[-1] or 1
+    phi_d = _dense_cyclotomic(d)
+    product = [0] * (len(phi_d) - 1 + len(cofactor))
+    for i, a in enumerate(phi_d):
+        for j, b in enumerate(cofactor):
+            product[i + j] += a * b
+    return product
+
+
 def test_cyclotomic_divisibility_matches_dense_division():
     # random, forced-divisible and nearly divisible inputs at every order up
     # to 199 and at orders with three to six distinct primes; at 30030 the
@@ -326,12 +371,7 @@ def test_cyclotomic_divisibility_matches_dense_division():
                 rng.randrange(width) + d * rng.randrange(4): Fraction(rng.randint(-9, 9) or 1)
                 for _ in range(rng.randint(1, 5))}))
         for _ in range(2):
-            cofactor = [rng.randint(-5, 5) for _ in range(rng.randint(1, 8))]
-            cofactor[-1] = cofactor[-1] or 1
-            product = [0] * (phi + len(cofactor))
-            for i, a in enumerate(_dense_cyclotomic(d)):
-                for j, b in enumerate(cofactor):
-                    product[i + j] += a * b
+            product = _cyclotomic_multiple(d, rng)
             cases.append(_shifted(product, d, rng))
             product[rng.randrange(len(product))] += rng.choice([-1, 1])
             cases.append(_shifted(product, d, rng))
@@ -340,6 +380,27 @@ def test_cyclotomic_divisibility_matches_dense_division():
             assert rootcount._divisible_by_cyclotomic(g, d, primes) == expected, (g.terms, d)
             results.append(expected)
     assert results.count(True) > 400 and results.count(False) > 400
+
+
+def test_cyclotomic_factor_puts_its_whole_orbit_among_the_residue_zeros():
+    # the counter tests order d for torsion roots only when the residue scan
+    # found all phi(d) residues of order d: an order found fewer times is
+    # skipped, which is exact only if Phi_d | g puts every residue of order
+    # d among the zeros of g mod p, p = 1 mod d.  30030 is left out: its
+    # least such prime and phi(30030) terms would make the scan slow
+    rng = random.Random(27)
+    checked = 0
+    for d in [*range(1, 61), 210, 1001, 2310]:
+        phi = len(_dense_cyclotomic(d)) - 1
+        primes = [p for p in range(d + 1, 60 * d + 3, d) if p > 2 and is_prime(p)][:2]
+        for _ in range(2):
+            g = _shifted(_cyclotomic_multiple(d, rng), d, rng)
+            for p in primes:
+                zeros = _unit_zeros(_reduce_mod_p(ModImage.scaled(g, p, 0), p), p)
+                of_order_d = [r for r, i in zeros if math.gcd(i, p - 1) == (p - 1) // d]
+                assert len(of_order_d) == phi, (g.terms, d, p)
+                checked += 1
+    assert checked == 4 * 63
 
 
 def test_torsion_multiplicity_at_large_orders():
