@@ -2,17 +2,16 @@
 
 A polynomial is a map from exponent tuples (one slot per variable) to nonzero
 integer coefficients.  Everything is exact; there is no floating point
-anywhere.  Determinants go by cofactor expansion (at most five or six
-variables, degrees in the tens).  The only divisors are products of linear
-factors x_j - x_i and x_j, the factors of every standard Vandermonde
-determinant, so exact division is synthetic division in x_j and an
-exponent shift.
+anywhere.  Cofactor expansion serves the confluent Vandermonde determinants
+(five or six variables, degrees in the tens) and the small integer minors of
+Cauchy-Binet.  The only divisors are products of linear factors x_j - x_i
+and x_j, the factors of every standard Vandermonde determinant, so exact
+division is synthetic division in x_j and an exponent shift.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add
 
 from .errors import InternalError
@@ -79,9 +78,6 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.nvars, {m: -c for m, c in self.terms.items()})
 
@@ -112,10 +108,17 @@ class MultiPoly:
                     out.pop(mono, None)
         return MultiPoly(self.nvars, out)
 
+    @classmethod
+    def combination(cls, nvars: int, pairs) -> "MultiPoly":
+        """The sum of k * poly over the (k, poly) pairs, built in one dict."""
+        out: dict[Monomial, int] = {}
+        for k, poly in pairs:
+            for mono, coeff in poly.terms.items():
+                out[mono] = out.get(mono, 0) + k * coeff
+        return cls(nvars, {mono: coeff for mono, coeff in out.items() if coeff})
+
     def scale(self, k: int) -> "MultiPoly":
-        if k == 0:
-            return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {m: k * c for m, c in self.terms.items()})
+        return MultiPoly.combination(self.nvars, [(k, self)])
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -202,13 +205,10 @@ class MultiPoly:
                 powers[e] = power(e - 1) * replacement
             return powers[e]
 
-        out = MultiPoly.zero(self.nvars)
-        for mono, coeff in self.terms.items():
-            rest = list(mono)
-            e = rest[var]
-            rest[var] = 0
-            out = out + power(e) * MultiPoly(self.nvars, {tuple(rest): coeff})
-        return out
+        return MultiPoly.combination(self.nvars, (
+            (coeff, power(mono[var])
+             * MultiPoly(self.nvars, {mono[:var] + (0,) + mono[var + 1:]: 1}))
+            for mono, coeff in self.terms.items()))
 
     def shift_all_by_one(self) -> "MultiPoly":
         """Substitute x_i -> 1 + x_i for every variable."""
@@ -237,18 +237,6 @@ class MultiPoly:
                 key = mono[:var] + mono[var + 1 :]
                 out[key] = coeff
         return MultiPoly(self.nvars - 1, out)
-
-    def evaluate(self, values: list[Fraction | int]) -> Fraction:
-        if len(values) != self.nvars:
-            raise InternalError("wrong number of values for evaluation")
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for v, e in zip(values, mono):
-                if e:
-                    term *= Fraction(v) ** e
-            total += term
-        return total
 
     # -- display ------------------------------------------------------
 

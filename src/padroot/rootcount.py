@@ -344,16 +344,16 @@ def _divisible_by_cyclotomic(g: SparsePoly, d: int, primes) -> bool:
     return True
 
 
-def torsion_multiplicity(g: ModImage, d: int) -> int:
+def torsion_multiplicity(g: ModImage, d: int, n: int = DEFAULT_PRECISION) -> int:
     """Exact multiplicity of the order-d Teichmuller points as roots of g.
 
     A torsion point of exact order d is a root of g over Q_p iff its minimal
     polynomial, the d-th cyclotomic polynomial, divides g over Q; the
     multiplicity is read off the derivative chain.  Each derivative is first
-    evaluated at the order-d Teichmuller point Omega^((p-1)/d) mod p^N, where
+    evaluated at the order-d Teichmuller point Omega^((p-1)/d) mod p^n, where
     a root's value is 0, and is tested for divisibility only where it is 0.
     """
-    p, n = g.p, DEFAULT_PRECISION
+    p = g.p
     zeta = pow(_omega(p, n), (p - 1) // d, p**n)
     return _chain_multiplicity(g, lambda h: h.eval_mod(zeta, p, n) == 0
                                and _divisible_by_cyclotomic(h.exact(), d, _unit_group(p)[1]))
@@ -585,7 +585,7 @@ def segment_root_count(f0: SparsePoly, p: int, m: int, opts: CountOptions):
         ord0 = _residue_order(support, p, r)
         key = (d, ord0 == 1)
         if d in full and key not in tested:
-            tested[key] = torsion_multiplicity(g, d) if ord0 > 1 else d > 1 and g.eval_mod(
+            tested[key] = torsion_multiplicity(g, d, big) if ord0 > 1 else d > 1 and g.eval_mod(
                 pow(_omega(p, big), (p - 1) // d, p**big), p, big) == 0
         torsion = tested.get(key)
         if torsion:  # Omega^i, one small power away from the last one

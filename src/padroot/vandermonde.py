@@ -5,19 +5,19 @@ The objects here are classical: the determinant of the matrix with rows
 confluent variant where a repeated interpolation point contributes rows of
 scaled derivatives, the quotient of either by the corresponding standard
 (powers 1..t) determinant, and determinants of binomial-coefficient
-matrices: symbolic ones in C(x_i, k_j), cleared of factorials, and at
-integer points the integer det[C(a_i, b_j)] that weighs the shift
-expansion.  All computations are exact integer arithmetic on `MultiPoly`;
-the quotients are certified by exact division (any remainder is a bug, not
-an input condition).  The symbolic determinants and the confluent
-quotients are memoized on their tuple arguments, so a grid builds each one
-once.
+matrices: symbolic ones in C(x_i, k_j), cleared of factorials, by
+Cauchy-Binet as integer minors times alternants (their quotients: times
+Schur polynomials), and the integer minors det[C(a_i, b_j)] that weigh
+the shift expansion.  All arithmetic is exact, on `MultiPoly`; every
+quotient is certified by exact division (any remainder is a bug, not an
+input condition).  Determinants, minors and Schur polynomials are memoized
+on their tuple arguments, so a grid builds each one once.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .errors import PreconditionFailed
@@ -122,56 +122,83 @@ def specialization_quotient(powers, blocks) -> MultiPoly:
     return plain.map_vars(mapping, len(blocks))
 
 
-@lru_cache(maxsize=1024)
+@cache
+def _minors(table: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], int]:
+    """The nonzero maximal minors of an integer table, {columns: minor}:
+    the weights of Cauchy-Binet, so memoized on the table."""
+    return {cols: minor for cols in combinations(range(len(table[0])), len(table))
+            if (minor := det([[row[col] for col in cols] for row in table]))}
+
+
+@cache
+def _alternant(exponents: tuple[int, ...]) -> MultiPoly:
+    """det[x_i^{s_j}] for distinct exponents s: t! signed monomials."""
+    t = len(exponents)
+    return det([[MultiPoly.monomial(t, i, s) for s in exponents] for i in range(t)])
+
+
+@cache
+def _schur(exponents: tuple[int, ...]) -> MultiPoly:
+    """The alternant over x_1...x_t prod_{i<j}(x_j - x_i), a Schur polynomial."""
+    return _alternant(exponents).divide_exact([(j, i) for j in range(len(exponents))
+                                               for i in [None, *range(j)]])
+
+
+def _cauchy_binet(indices: tuple[int, ...], basis) -> MultiPoly:
+    """The sum over exponent sets S of basis(S) times the minor at S of the
+    table whose row j holds the coefficients of the falling factorial
+    (x)_{k_j}, signed Stirling numbers of the first kind."""
+    if not indices or indices[0] < 0 or any(b >= c for b, c in zip(indices, indices[1:])):
+        raise PreconditionFailed(f"binomial indices must increase strictly from 0 up: {indices}")
+    table, row = [], [1] + [0] * indices[-1]
+    for k in range(indices[-1] + 1):
+        if k in indices:
+            table.append(tuple(row))
+        row = [a - k * b for a, b in zip([0, *row[:-1]], row)]  # times x - k
+    return MultiPoly.combination(len(indices), (
+        (minor, basis(s)) for s, minor in _minors(tuple(table)).items()))
+
+
+@cache
 def binomial_det(indices: tuple[int, ...]) -> MultiPoly:
     """k_1! ... k_t! times the determinant of the matrix with entries C(x_i, k_j).
 
-    Column j times k_j! holds the falling factorials (x_i)_{k_j}, so the
-    result has integer coefficients.
+    Column j times k_j! holds the falling factorials (x_i)_{k_j}, so by
+    Cauchy-Binet the result has integer coefficients: a sum of alternants
+    det[x_i^{s_j}] weighed by integer minors of the Stirling numbers.
     """
-    if not indices:
-        raise PreconditionFailed("empty binomial index vector")
-    if any(b < 0 for b in indices):
-        raise PreconditionFailed(f"binomial indices must be nonnegative: {indices}")
-    if any(b >= c for b, c in zip(indices, indices[1:])):
-        raise PreconditionFailed(f"binomial indices must be strictly increasing: {indices}")
-    t = len(indices)
-    rows = [[math.prod((MultiPoly.monomial(t, i) - MultiPoly.const(t, c) for c in range(k)),
-                       start=MultiPoly.const(t, 1)) for k in indices] for i in range(t)]
-    return det(rows)
+    return _cauchy_binet(indices, _alternant)
 
 
 def binomial_det_quotient(indices: tuple[int, ...]) -> MultiPoly:
     """Quotient of the cleared binomial determinant by the standard-index one.
 
-    The standard case (indices 1..t) equals x_1...x_t prod_{i<j}(x_j - x_i);
-    the quotient has integer coefficients and the division is exact.
+    The standard case (indices 1..t) equals x_1...x_t prod_{i<j}(x_j - x_i),
+    so the quotient is `binomial_det`'s sum with each alternant replaced by
+    its exact quotient, a Schur polynomial.
     """
     if not indices or indices[0] < 1:
         raise PreconditionFailed(f"indices must start at 1 or above: {indices}")
-    return binomial_det(indices).divide_exact([(j, i) for j in range(len(indices))
-                                               for i in [None, *range(j)]])
+    return _cauchy_binet(indices, _schur)
 
 
 def check_shift_expansion(powers, blocks) -> bool:
     """Verify the binomial expansion of the shifted quotient.
 
     The quotient evaluated at (1+x_0, ..., 1+x_m) must equal the sum over
-    strictly increasing index vectors b with b_t <= a_t of the integer
-    det[C(a_i, b_j)] times the quotient for b.  Index vectors with
-    b_t > a_t give a zero column, so the sum is finite.
+    index vectors 1 <= b_1 < ... < b_t <= a_t of the integer det[C(a_i, b_j)],
+    a minor of the table C(a_i, m), times the quotient for b.  Index vectors
+    with b_t > a_t give a zero column, so the sum is finite.
     """
     powers = tuple(powers)
     blocks = tuple(blocks)
     _validate_powers(powers)
     _validate_blocks(blocks, len(powers) + 1)
     lhs = vandermonde_quotient(powers, blocks).shift_all_by_one()
-    rhs = MultiPoly.zero(len(blocks))
-    for beta in combinations(range(1, powers[-1] + 1), len(powers)):
-        weight = det([[math.comb(a, b) for b in beta] for a in powers])
-        if weight:
-            rhs = rhs + vandermonde_quotient(beta, blocks).scale(weight)
-    return lhs == rhs
+    table = tuple(tuple(math.comb(a, b) for b in range(powers[-1] + 1)) for a in powers)
+    return lhs == MultiPoly.combination(len(blocks), (
+        (weight, vandermonde_quotient(beta, blocks))
+        for beta, weight in _minors(table).items() if beta[0]))
 
 
 def compositions(total: int) -> list[tuple[int, ...]]:

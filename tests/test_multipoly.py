@@ -171,10 +171,29 @@ def test_coefficient_of():
     assert p.coefficient_of(1, 3) == c(1, 1)
 
 
+def evaluate(poly, values):
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        term = Fraction(coeff)
+        for v, e in zip(values, mono):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
 def test_evaluate():
     p = x(2, 0) ** 2 - x(2, 1)
-    assert p.evaluate([3, 4]) == 5
-    assert p.evaluate([Fraction(1, 2), Fraction(1, 4)]) == 0
+    assert evaluate(p, [3, 4]) == 5
+    assert evaluate(p, [Fraction(1, 2), Fraction(1, 4)]) == 0
+
+
+def test_combination_drops_cancelled_terms():
+    a, b = x(2, 0) + x(2, 1), x(2, 0) - c(2, 1)
+    got = MultiPoly.combination(2, [(2, a), (-2, b), (1, c(2, 3))])
+    assert got == x(2, 1).scale(2) + c(2, 5)
+    assert well_formed(got, 2) and len(got.terms) == 2
+    assert MultiPoly.combination(2, [(3, a), (-3, a)]) == MultiPoly.zero(2)
+    assert MultiPoly.combination(2, []).terms == {}
 
 
 def leibniz_det(matrix):

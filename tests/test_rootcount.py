@@ -114,9 +114,9 @@ def test_torsion_multiplicity_once_per_order(monkeypatch):
     # its multiplicity depends only on its order, one of the 9 divisors of 100
     calls = []
 
-    def counted(g, d):
+    def counted(g, d, *rest):
         calls.append(d)
-        return torsion_multiplicity(g, d)
+        return torsion_multiplicity(g, d, *rest)
 
     monkeypatch.setattr(rootcount, "torsion_multiplicity", counted)
     report = count_roots(parse_poly("x^200 - 2*x^100 + 1"), 101, OPTS)
@@ -135,11 +135,15 @@ def test_torsion_multiplicity_once_per_order(monkeypatch):
 @pytest.mark.parametrize("text, p, totals, certificate", [
     ("x^2016 - 1", 1009, (1008, 1008), HENSEL_SIMPLE),
     ("x^200 - 2*x^100 + 1", 101, (100, 200), EXACT_TORSION),
+    # sharp_trinomial(7): a double torsion root in each unit class, beside 6
+    # simple roots of valuation 1
+    ("x^705900 - 117650*x^6 + 117649", 7, (12, 18), EXACT_TORSION),
 ])
 def test_torsion_roots_are_powers_of_one_lift(monkeypatch, text, p, totals, certificate):
     # every torsion root's digits are a power of the one Teichmuller lift of
     # the generator; a simple one starts its Hensel lift there, 48 digits
-    # deep, so its witness reads v(f(r0)) = 48 and it takes no Newton step
+    # deep, so its witness reads v(f(r0)) = 48 and it takes no Newton step.
+    # The multiplicity test screens at the same lift, so p is lifted once
     calls = []
 
     def counted(*args):
@@ -150,12 +154,14 @@ def test_torsion_roots_are_powers_of_one_lift(monkeypatch, text, p, totals, cert
     monkeypatch.setattr(rootcount, "teichmuller", counted)
     report = count_roots(parse_poly(text), p, OPTS)
     assert (report.count_distinct, report.count_with_multiplicity) == totals
-    for e in report.entries:
+    units = [e for e in report.entries if e.valuation == 0]
+    assert len(units) == p - 1
+    for e in units:
         assert e.certificate == certificate
         assert e.value.unit == teichmuller(p, e.value.unit_mod(1), 40).unit
         if certificate == HENSEL_SIMPLE:
             assert (e.hensel.r0.prec, e.hensel.val_f_r0) == (48, 48)
-    assert len(calls) <= 2
+    assert [args[0] for args in calls] == [p]
 
 
 TOWER_2_7 = "x^705900 + 1/117648*x^6 + 157774040966226142650024287/117648"

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from padroot import vandermonde
 from padroot.errors import PreconditionFailed
 from padroot.multipoly import MultiPoly, det
 from padroot.vandermonde import (
@@ -145,7 +146,36 @@ def test_binomial_det_symbolic_matches_scaled_evaluation():
         sym = binomial_det(beta)
         for point in [(1, 5, 9), (0, 2, 4), (3, 4, 6)]:
             pt = point[:t]
-            assert sym.evaluate(list(pt)) == scale * binomial_weight(beta, pt)
+            value = sum(coeff * math.prod(v ** e for v, e in zip(pt, mono))
+                        for mono, coeff in sym.terms.items())
+            assert value == scale * binomial_weight(beta, pt)
+
+
+def falling_factorial_det(indices):
+    # the cofactor construction: the matrix of falling factorials (x_i)_{k_j}
+    t = len(indices)
+    return det([[math.prod((x(t, i) - c(t, m) for m in range(k)), start=c(t, 1))
+                 for k in indices] for i in range(t)])
+
+
+def test_binomial_det_matches_falling_factorial_cofactors():
+    # Cauchy-Binet against the cofactor expansion, index 0 included
+    betas = [beta for t in range(1, 5) for beta in combinations(range(10), t)]
+    assert len(betas) == 385
+    for beta in betas:
+        assert binomial_det(beta) == falling_factorial_det(beta), beta
+
+
+def test_binomial_quotient_is_sum_of_schur_polynomials():
+    # a_S over x0 x1 (x1 - x0) is a Schur polynomial: 1 at S = {1, 2},
+    # x0 + x1 at {1, 3} and x0 x1 at {2, 3}
+    assert vandermonde._schur((1, 2)) == c(2, 1)
+    assert vandermonde._schur((1, 3)) == x(2, 0) + x(2, 1)
+    assert vandermonde._schur((2, 3)) == x(2, 0) * x(2, 1)
+    # (x)_1 = x and (x)_3 = x^3 - 3x^2 + 2x: minors -3 at {1, 2}, 1 at {1, 3}
+    # and 0 at {2, 3}; with (x)_2 = x^2 - x in place of x they are 1, -1, 1
+    assert binomial_det_quotient((1, 3)) == x(2, 0) + x(2, 1) - c(2, 3)
+    assert binomial_det_quotient((2, 3)) == x(2, 0) * x(2, 1) - x(2, 0) - x(2, 1) + c(2, 1)
 
 
 def test_binomial_det_rejects_empty_indices():
@@ -229,7 +259,18 @@ def test_each_determinant_built_once():
     quotient_rows = [row for row in rows if row["kind"] == "quotient"]
     assert len(quotient_rows) == 50
     assert confluent_vandermonde_det.cache_info().misses == 50
-    # the quotient divides the determinant already built
+    # over the criterion-2 grid (t <= 4, beta in {1..8}) each exponent set's
+    # alternant is built once and divided once: both memos miss exactly once
+    # per distinct set S with a nonzero minor, all 162 subsets of {1..8}
+    for memo in (binomial_det, vandermonde._minors, vandermonde._alternant,
+                 vandermonde._schur):
+        memo.cache_clear()
+    betas = [beta for t in range(1, 5) for beta in combinations(range(1, 9), t)]
+    for beta in betas:
+        binomial_det(beta)
+        binomial_det_quotient(beta)
+    assert vandermonde._alternant.cache_info().misses == len(betas) == 162
+    assert vandermonde._schur.cache_info().misses == len(betas)
     binomial_det.cache_clear()
     beta = (1, 3, 4)
     binomial_det(beta)
