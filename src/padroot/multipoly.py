@@ -117,9 +117,6 @@ class MultiPoly:
                 out[mono] = out.get(mono, 0) + k * coeff
         return cls(nvars, {mono: coeff for mono, coeff in out.items() if coeff})
 
-    def scale(self, k: int) -> "MultiPoly":
-        return MultiPoly.combination(self.nvars, [(k, self)])
-
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise InternalError("negative power of a polynomial")
@@ -178,7 +175,7 @@ class MultiPoly:
                     carry[rest[:i] + (rest[i] + 1,) + rest[i + 1:]] = coeff
         return MultiPoly(self.nvars, terms)
 
-    # -- substitution -------------------------------------------------
+    # -- change of variables ------------------------------------------
 
     def map_vars(self, mapping: list[int], new_nvars: int) -> "MultiPoly":
         """Substitute x_i -> x_{mapping[i]}; slots may repeat or collapse."""
@@ -194,21 +191,6 @@ class MultiPoly:
             else:
                 out.pop(key, None)
         return MultiPoly(new_nvars, out)
-
-    def substitute(self, var: int, replacement: "MultiPoly") -> "MultiPoly":
-        """Substitute `replacement` (same arity) for variable `var`."""
-        self._check_arity(replacement)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.const(self.nvars, 1)}
-
-        def power(e: int) -> MultiPoly:
-            if e not in powers:
-                powers[e] = power(e - 1) * replacement
-            return powers[e]
-
-        return MultiPoly.combination(self.nvars, (
-            (coeff, power(mono[var])
-             * MultiPoly(self.nvars, {mono[:var] + (0,) + mono[var + 1:]: 1}))
-            for mono, coeff in self.terms.items()))
 
     def shift_all_by_one(self) -> "MultiPoly":
         """Substitute x_i -> 1 + x_i for every variable."""
@@ -228,15 +210,6 @@ class MultiPoly:
                         shifted.pop(key, None)
             out = MultiPoly(self.nvars, shifted)
         return out
-
-    def coefficient_of(self, var: int, power: int) -> "MultiPoly":
-        """Extract the coefficient of var**power, dropping that variable slot."""
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self.terms.items():
-            if mono[var] == power:
-                key = mono[:var] + mono[var + 1 :]
-                out[key] = coeff
-        return MultiPoly(self.nvars - 1, out)
 
     # -- display ------------------------------------------------------
 

@@ -674,7 +674,8 @@ def _exact_entry(g: ModImage, point, mu, order, r, n) -> RootEntry:
     """The entry of the exact point p^g.m * point: torsion of the given order
     with first digit r, or a rational when order is None."""
     p, m = g.p, g.m
-    dv = eval_with_derivative(g.residues(p, n), _point_mod(point, p, n), p**n)[1]
+    # g' vanishes exactly at a multiple root
+    dv = mu == 1 and eval_with_derivative(g.residues(p, n), _point_mod(point, p, n), p**n)[1]
     val_fprime = g.nu - m + int_valuation(dv, p) if dv else None
     if order is None:
         rational = point * Fraction(p) ** m

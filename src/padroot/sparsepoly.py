@@ -24,7 +24,7 @@ from .padic import fraction_valuation, int_valuation
 class SparsePoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("terms", "_residues")
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
         cleaned = []
@@ -39,7 +39,6 @@ class SparsePoly:
             if coeff:
                 cleaned.append((exp, coeff))
         self.terms = tuple(cleaned)
-        self._residues = {}  # modulus -> `residues` at that modulus
 
     @classmethod
     def from_dict(cls, data: dict[int, Fraction]) -> "SparsePoly":
@@ -89,18 +88,12 @@ class SparsePoly:
         return total
 
     def residues(self, p: int, k: int) -> list[tuple[int, int]]:
-        """(exponent, coefficient mod p^k) pairs; coefficients must be p-integral.
-
-        Reduced once per modulus: Newton lifts from equal starts share moduli.
-        """
+        """(exponent, coefficient mod p^k) pairs; coefficients must be p-integral."""
+        if any(c.denominator % p == 0 for _, c in self.terms):
+            raise PreconditionFailed("coefficient with negative valuation")
         modulus = p**k
-        if modulus not in self._residues:
-            if any(c.denominator % p == 0 for _, c in self.terms):
-                raise PreconditionFailed("coefficient with negative valuation")
-            self._residues[modulus] = [
-                (e, c.numerator * pow(c.denominator, -1, modulus) % modulus)
+        return [(e, c.numerator * pow(c.denominator, -1, modulus) % modulus)
                 for e, c in self.terms]
-        return self._residues[modulus]
 
     def eval_mod(self, x: int, p: int, k: int) -> int:
         """Value at the integer x modulo p^k; coefficients must be p-integral."""

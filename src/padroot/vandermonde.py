@@ -78,8 +78,10 @@ def check_confluent_merge(powers, blocks, k: int) -> bool:
 
     `blocks` must sum to t (one short of square); the identity states that the
     determinant for the grown blocks equals the coefficient of delta^{s_k} in
-    the determinant where an extra simple point x_k + delta is inserted right
-    after block k.  Computed fully symbolically.
+    the determinant where an extra simple point y = x_k + delta is inserted
+    right after block k.  That coefficient is a Taylor coefficient: each term
+    c x_k^a y^e of the inserted determinant gives C(e, s_k) c x_k^(a+e-s_k),
+    with y's slot dropped.
     """
     powers = tuple(powers)
     blocks = tuple(blocks)
@@ -88,22 +90,16 @@ def check_confluent_merge(powers, blocks, k: int) -> bool:
     if not 0 <= k < len(blocks):
         raise PreconditionFailed(f"block index {k} out of range for {blocks}")
 
-    grown = blocks[: k] + (blocks[k] + 1,) + blocks[k + 1 :]
+    s = blocks[k]
+    grown = blocks[: k] + (s + 1,) + blocks[k + 1 :]
     inserted = blocks[: k + 1] + (1,) + blocks[k + 1 :]
-    m1 = len(blocks)          # variables of the grown determinant
     lhs = confluent_vandermonde_det(powers, grown)
-
-    # Determinant with the inserted point, in m1+1 variables, then one extra
-    # slot for delta; substitute the inserted variable by x_k + delta.
-    wide = confluent_vandermonde_det(powers, inserted)
-    wide = wide.map_vars(list(range(m1 + 1)), m1 + 2)
-    delta = m1 + 1
-    replacement = MultiPoly.monomial(m1 + 2, k) + MultiPoly.monomial(m1 + 2, delta)
-    wide = wide.substitute(k + 1, replacement)
-
-    extracted = wide.coefficient_of(delta, blocks[k])      # drop delta slot
-    extracted = extracted.coefficient_of(k + 1, 0)         # drop the dead slot
-    return extracted == lhs
+    taylor: dict[tuple[int, ...], int] = {}
+    for mono, coeff in confluent_vandermonde_det(powers, inserted).terms.items():
+        if (e := mono[k + 1]) >= s:
+            key = mono[:k] + (mono[k] + e - s,) + mono[k + 2 :]
+            taylor[key] = taylor.get(key, 0) + math.comb(e, s) * coeff
+    return {mono: c for mono, c in taylor.items() if c} == lhs.terms
 
 
 def specialization_quotient(powers, blocks) -> MultiPoly:
@@ -125,9 +121,18 @@ def specialization_quotient(powers, blocks) -> MultiPoly:
 @cache
 def _minors(table: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], int]:
     """The nonzero maximal minors of an integer table, {columns: minor}:
-    the weights of Cauchy-Binet, so memoized on the table."""
+    the weights of Cauchy-Binet, so memoized on the table.
+
+    Row i is nonzero only in its span of columns [lo_i, hi_i], and both
+    ends must never decrease down the rows.  Then a column set S, ascending,
+    with s_i > hi_i puts rows 0..i on the i columns before s_i, and one with
+    s_i < lo_i puts rows i.. on the columns after it: either minor is 0, so
+    only sets with every s_i inside its row's span are expanded.
+    """
+    spans = [(min(nz), max(nz)) for nz in ([j for j, v in enumerate(row) if v] for row in table)]
     return {cols: minor for cols in combinations(range(len(table[0])), len(table))
-            if (minor := det([[row[col] for col in cols] for row in table]))}
+            if all(lo <= col <= hi for col, (lo, hi) in zip(cols, spans))
+            and (minor := det([[row[col] for col in cols] for row in table]))}
 
 
 @cache

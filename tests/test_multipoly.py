@@ -55,10 +55,9 @@ def test_ring_axioms_randomized():
         assert a * (b + d) == a * b + a * d
         assert (a + b) + d == a + (b + d)
         assert not a - a and not a * b - b * a
-        results = [a * b, a + b, a - b, b - b, a * (b + d), -d, a.scale(3), a.scale(0),
+        results = [a * b, a + b, a - b, b - b, a * (b + d), -d, a * c(3, 3), a * c(3, 0),
                    a ** 2, (a * (x(3, 2) - x(3, 0))).divide_exact([(2, 0)]),
-                   a.shift_all_by_one(),
-                   a.substitute(1, b), c(3, 0)]
+                   a.shift_all_by_one(), c(3, 0)]
         assert all(r.nvars == 3 and well_formed(r, 3) for r in results)
         assert well_formed(a.map_vars([0, 0, 1], 2), 2)
 
@@ -147,12 +146,10 @@ def test_divide_exact_rejects_remainder_below_the_top():
                 (a * linear_product(nvars, factors) + r).divide_exact(factors[:1])
 
 
-def test_substitute_and_shift():
-    # (x0 + x1)^2 with x1 -> 1 + x1, against direct expansion
+def test_shift_all_by_one():
+    # (x0 + x1)^2 with both variables shifted, against direct expansion
     p = (x(2, 0) + x(2, 1)) ** 2
-    shifted = p.substitute(1, c(2, 1) + x(2, 1))
-    expect = (x(2, 0) + x(2, 1) + c(2, 1)) ** 2
-    assert shifted == expect
+    assert p.shift_all_by_one() == (x(2, 0) + x(2, 1) + c(2, 2)) ** 2
 
     q = (x(2, 0) - x(2, 1)) ** 3
     assert q.shift_all_by_one() == q  # shift-invariant difference
@@ -161,14 +158,8 @@ def test_substitute_and_shift():
 def test_map_vars_specialization():
     p = (x(3, 0) + x(3, 1) + x(3, 2)) ** 2
     merged = p.map_vars([0, 0, 1], 2)
-    expect = (x(2, 0).scale(2) + x(2, 1)) ** 2
+    expect = (x(2, 0) * c(2, 2) + x(2, 1)) ** 2
     assert merged == expect
-
-
-def test_coefficient_of():
-    p = (x(2, 0) + x(2, 1)) ** 3
-    assert p.coefficient_of(1, 2) == x(1, 0).scale(3)
-    assert p.coefficient_of(1, 3) == c(1, 1)
 
 
 def evaluate(poly, values):
@@ -190,7 +181,7 @@ def test_evaluate():
 def test_combination_drops_cancelled_terms():
     a, b = x(2, 0) + x(2, 1), x(2, 0) - c(2, 1)
     got = MultiPoly.combination(2, [(2, a), (-2, b), (1, c(2, 3))])
-    assert got == x(2, 1).scale(2) + c(2, 5)
+    assert got == x(2, 1) * c(2, 2) + c(2, 5)
     assert well_formed(got, 2) and len(got.terms) == 2
     assert MultiPoly.combination(2, [(3, a), (-3, a)]) == MultiPoly.zero(2)
     assert MultiPoly.combination(2, []).terms == {}

@@ -10,7 +10,7 @@ import pytest
 
 from padroot import rootcount
 from padroot.errors import PreconditionFailed
-from padroot.padic import is_prime, teichmuller
+from padroot.padic import eval_with_derivative, is_prime, teichmuller
 from padroot.rootcount import (
     EXACT_RATIONAL,
     EXACT_TORSION,
@@ -130,6 +130,25 @@ def test_torsion_multiplicity_once_per_order(monkeypatch):
     report = count_roots(parse_poly("x^4 - 4*x^2 + 4"), 7, OPTS)
     assert len(report.unresolved) == 2 and not report.entries
     assert calls == []
+
+
+@pytest.mark.parametrize("text, p, calls", [
+    ("x^200 - 2*x^100 + 1", 101, 0),  # 100 double torsion roots
+    ("x^3 - x^2 - 6*x + 6", 5, 1),  # the simple exact root 1, beside a root of x^2 - 6
+])
+def test_exact_derivative_only_at_simple_points(monkeypatch, text, p, calls):
+    # g' vanishes exactly at a multiple exact root, so it is evaluated
+    # only at the simple ones
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return eval_with_derivative(*args)
+
+    monkeypatch.setattr(rootcount, "eval_with_derivative", counting)
+    report = count_roots(parse_poly(text), p, OPTS)
+    assert report.fully_certified
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize("text, p, totals, certificate", [

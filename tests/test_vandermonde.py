@@ -68,7 +68,7 @@ def test_confluent_single_block_unit():
 def test_confluent_one_three():
     # direct 3x3 determinant, reduced by hand:
     # (x1 - x0)^2 (2 x0 + x1)
-    expect = (x(2, 1) - x(2, 0)) ** 2 * (x(2, 0).scale(2) + x(2, 1))
+    expect = (x(2, 1) - x(2, 0)) ** 2 * (x(2, 0) * c(2, 2) + x(2, 1))
     assert confluent_vandermonde_det((1, 3), (2, 1)) == expect
 
 
@@ -92,7 +92,7 @@ def test_quotient_simple_points():
 
 def test_quotient_specialized_two_points():
     q = vandermonde_quotient((1, 3), (2, 1))
-    assert q == x(2, 0).scale(2) + x(2, 1)
+    assert q == x(2, 0) * c(2, 2) + x(2, 1)
 
 
 @pytest.mark.parametrize("powers", [(1, 2), (1, 3), (2, 4), (1, 2, 5), (2, 3, 7)])
@@ -120,6 +120,20 @@ def test_merge_identity_examples():
 def test_merge_identity_rejects_bad_index():
     with pytest.raises(PreconditionFailed):
         check_confluent_merge((1, 2), (1, 1), 2)
+
+
+def test_merge_identity_fails_on_a_wrong_grown_determinant(monkeypatch):
+    # one extra term in the grown determinant (3, 1) of blocks (2, 1) at k = 0
+    real = vandermonde.confluent_vandermonde_det
+
+    def grown_plus_one(powers, blocks):
+        out = real(powers, blocks)
+        return out + x(2, 0) ** 7 if blocks == (3, 1) else out
+
+    assert check_confluent_merge((1, 2, 3), (2, 1), 0)
+    monkeypatch.setattr(vandermonde, "confluent_vandermonde_det", grown_plus_one)
+    assert not check_confluent_merge((1, 2, 3), (2, 1), 0)
+    assert check_confluent_merge((1, 2, 3), (1, 2), 0)
 
 
 def test_binomial_det_standard_product():
@@ -164,6 +178,31 @@ def test_binomial_det_matches_falling_factorial_cofactors():
     assert len(betas) == 385
     for beta in betas:
         assert binomial_det(beta) == falling_factorial_det(beta), beta
+
+
+def test_minors_match_every_column_set(monkeypatch):
+    # the minors kept inside each row's span against every column set, on
+    # each table of the criterion-2 grid (t <= 4, beta in {1..8}) and of the
+    # (3, 7) identity grid's shift expansions
+    tables = set()
+    real = vandermonde._minors
+
+    def recorded(table):
+        tables.add(table)
+        return real(table)
+
+    monkeypatch.setattr(vandermonde, "_minors", recorded)
+    for t in range(1, 5):
+        for beta in combinations(range(1, 9), t):
+            binomial_det_quotient(beta)
+    for t in range(1, 4):
+        for powers in combinations(range(1, 8), t):
+            assert check_shift_expansion(powers, (t + 1,))
+    assert len(tables) == 162 + 63
+    for table in tables:
+        brute = {cols: det([[row[col] for col in cols] for row in table])
+                 for cols in combinations(range(len(table[0])), len(table))}
+        assert real(table) == {cols: minor for cols, minor in brute.items() if minor}
 
 
 def test_binomial_quotient_is_sum_of_schur_polynomials():
